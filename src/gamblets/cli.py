@@ -12,8 +12,9 @@ Subcommands:
 Options come from an optional ``key = value`` config file plus flags;
 flags win. Every output file is written deterministically (fixed float
 formatting, sorted JSON keys, no timestamps), so reruns with identical
-inputs are byte-identical. The ``GAMBLET_LOG`` environment variable
-sets the logging level.
+inputs and the same BLAS thread count are byte-identical; a different
+thread count can change the last digits of the numbers. The
+``GAMBLET_LOG`` environment variable sets the logging level.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .operators import (
     load_graph,
     synthetic_grid,
 )
-from .transform import read_manifest, save_system, transform
+from .transform import save_system, transform, verify_system
 
 log = logging.getLogger("gamblets")
 
@@ -268,7 +269,7 @@ def cmd_transform(cfg: ExperimentConfig) -> int:
         except json.JSONDecodeError as exc:
             raise BadConfig(f"manifest {manifest_path} is not valid JSON: {exc}") from None
         if prior.get("command") == "transform" and prior.get("system_key") == key:
-            read_manifest(sys_dir)  # raises if the stored system is damaged
+            verify_system(sys_dir)  # raises if any stored file is missing or damaged
             print(f"cache hit: gamblet system already present in {cfg.out}")
             return 0
     _, hier, op = _build_pde(cfg)

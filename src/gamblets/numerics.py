@@ -2,8 +2,12 @@
 
 Everything here is deterministic for fixed inputs. Matrices are plain
 numpy arrays; symmetric matrices are kept exactly symmetric by
-construction (see symmetrize). Desk scale means N <= 4096, so dense
-storage and factorizations are the norm throughout the package.
+construction (see symmetrize). Desk scale means N <= DENSE_CAP = 4096,
+so dense storage, factorizations and eigenvalue solves are the norm
+throughout the package: extreme_eigs is one LAPACK symmetric
+eigenvalue call at every order. The CSV helpers read and write the
+plain-text matrices users supply (per-cell coefficients); stored
+gamblet systems use .npy files instead (see transform.save_system).
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from .errors import (
 
 # Pivot acceptance threshold for Cholesky, relative to max diagonal.
 PIVOT_RTOL = 1e-14
-
-# Above this order, extreme_eigs switches from a full symmetric
-# eigendecomposition to power/inverse iteration.
-DENSE_EIG_LIMIT = 512
 
 DENSE_CAP = 4096
 
@@ -90,55 +90,16 @@ def spd_inverse(m: np.ndarray) -> np.ndarray:
     return symmetrize(inv)
 
 
-def _power_iteration(matvec, n: int, tol: float, max_iter: int) -> float:
-    """Largest eigenvalue of an SPSD operator given by matvec.
-
-    Stops when successive Rayleigh quotient estimates change by less
-    than tol * |current estimate|.
-    """
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ matvec(v_new))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-        v = v_new
-    raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
-
-
-def extreme_eigs(m: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> tuple[float, float]:
+def extreme_eigs(m: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix.
 
-    For n <= DENSE_EIG_LIMIT a full symmetric eigendecomposition is
-    used. Larger matrices fall back to power iteration on a shifted
-    copy for lambda_max and on the Cholesky inverse (or a shifted copy
-    when the matrix is indefinite) for lambda_min; the stopping rule is
-    the relative change of the Rayleigh quotient.
+    One dense symmetric eigenvalue solve (LAPACK via np.linalg.eigvalsh)
+    at every order up to the package's desk scale DENSE_CAP; the matrix
+    may be indefinite.
     """
     _check_square_symmetric(m)
-    n = m.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        evals = np.linalg.eigvalsh(m)
-        return float(evals[0]), float(evals[-1])
-
-    mu = _power_iteration(lambda v: m @ v, n, tol, max_iter)  # largest |eigenvalue|
-    shift = abs(mu) * 1.01 + 1e-300
-    lam_max = _power_iteration(lambda v: m @ v + shift * v, n, tol, max_iter) - shift
-    try:
-        f = cholesky(m)
-        inv_lam = _power_iteration(lambda v: solve_spd(f, v), n, tol, max_iter)
-        lam_min = 1.0 / inv_lam
-    except NotSPD:
-        lam_min = shift - _power_iteration(lambda v: shift * v - m @ v, n, tol, max_iter)
-    return float(lam_min), float(lam_max)
+    evals = np.linalg.eigvalsh(m)
+    return float(evals[0]), float(evals[-1])
 
 
 def chi_square_quantile(dof: int, p: float) -> float:

@@ -17,6 +17,7 @@ blocks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -30,8 +31,6 @@ from .numerics import (
     DENSE_CAP,
     CholFactor,
     cholesky,
-    dump_matrix_csv,
-    load_matrix_csv,
     solve_spd,
     spd_inverse,
     symmetrize,
@@ -334,26 +333,47 @@ def z_matrix(sys: GambletSystem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a directory of CSV matrices plus a JSON manifest.
+# Persistence: a directory of .npy matrices, the hierarchy as JSON and a
+# JSON manifest holding the sha256 of every file.
 
 MANIFEST_NAME = "manifest.json"
 
 
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _matrices(sys: GambletSystem) -> dict[str, np.ndarray]:
+    out = {}
+    for k in range(1, sys.q + 1):
+        out[f"a_{k}"] = sys.a_of(k)
+        out[f"b_{k}"] = sys.b_of(k)
+    for k in range(2, sys.q + 1):
+        out[f"r_{k}"] = sys.r_of(k)
+        out[f"n_{k}"] = sys.n_of(k)
+    return out
+
+
 def save_system(sys: GambletSystem, dirpath) -> None:
+    """Store a system as one .npy file per matrix plus hierarchy.json and a manifest.
+
+    Matrices are written losslessly by np.save (no pickling), whose
+    header is deterministic, so two saves of one system are
+    byte-identical. The manifest records the sha256 of every file; the
+    hierarchy is serialized once and its digest equals Hierarchy.sha256().
+    """
     os.makedirs(dirpath, exist_ok=True)
     files: dict[str, str] = {"hierarchy": "hierarchy.json"}
-    with open(os.path.join(dirpath, "hierarchy.json"), "w") as fh:
-        fh.write(sys.hier.to_json())
-    for k in range(1, sys.q + 1):
-        files[f"a_{k}"] = f"a_{k}.csv"
-        dump_matrix_csv(os.path.join(dirpath, f"a_{k}.csv"), sys.a_of(k))
-        files[f"b_{k}"] = f"b_{k}.csv"
-        dump_matrix_csv(os.path.join(dirpath, f"b_{k}.csv"), sys.b_of(k))
-    for k in range(2, sys.q + 1):
-        files[f"r_{k}"] = f"r_{k}.csv"
-        dump_matrix_csv(os.path.join(dirpath, f"r_{k}.csv"), sys.r_of(k))
-        files[f"n_{k}"] = f"n_{k}.csv"
-        dump_matrix_csv(os.path.join(dirpath, f"n_{k}.csv"), sys.n_of(k))
+    with open(os.path.join(dirpath, files["hierarchy"]), "wb") as fh:
+        fh.write(sys.hier.to_json().encode())
+    for name, m in _matrices(sys).items():
+        files[name] = f"{name}.npy"
+        np.save(os.path.join(dirpath, files[name]), m, allow_pickle=False)
+    digests = {name: _file_sha256(os.path.join(dirpath, f)) for name, f in files.items()}
     manifest = {
         "format": "gamblet-system",
         "q": sys.q,
@@ -361,7 +381,8 @@ def save_system(sys: GambletSystem, dirpath) -> None:
         "trunc": sys.trunc,
         "sizes": sys.hier.sizes,
         "j_sizes": sys.hier.j_sizes,
-        "hierarchy_sha256": sys.hier.sha256(),
+        "hierarchy_sha256": digests.pop("hierarchy"),
+        "sha256": digests,
         "files": files,
     }
     with open(os.path.join(dirpath, MANIFEST_NAME), "w") as fh:
@@ -383,15 +404,47 @@ def read_manifest(dirpath) -> dict:
             raise BadConfig(f"manifest {path} is missing field '{key}'")
     if manifest["format"] != "gamblet-system":
         raise BadConfig(f"manifest field 'format' has unexpected value {manifest['format']!r}")
+    csv = sorted(f for f in manifest["files"].values() if str(f).endswith(".csv"))
+    if csv:
+        raise BadConfig(
+            f"manifest {path} lists CSV matrices ({csv[0]}, ...), a store format that is no "
+            "longer read; re-save the system (rerun the command that wrote it)"
+        )
+    if "sha256" not in manifest:
+        raise BadConfig(f"manifest {path} is missing field 'sha256'")
+    return manifest
+
+
+def verify_system(dirpath) -> dict:
+    """Read a stored system's manifest and check every file against its sha256.
+
+    Returns the manifest. Raises BadConfig naming the first file that is
+    missing or whose bytes do not match the digest the manifest records.
+    """
+    manifest = read_manifest(dirpath)
+    want = {"hierarchy": manifest["hierarchy_sha256"], **manifest["sha256"]}
+    for name, fname in manifest["files"].items():
+        field = "hierarchy_sha256" if name == "hierarchy" else f"sha256.{name}"
+        if name not in want:
+            raise BadConfig(f"manifest field '{field}' is missing for stored file {fname}")
+        try:
+            got = _file_sha256(os.path.join(dirpath, fname))
+        except FileNotFoundError:
+            raise BadConfig(f"stored file {fname} ({name}) is missing from {dirpath}") from None
+        if got != want[name]:
+            raise BadConfig(
+                f"stored file {fname} ({name}) does not match manifest field '{field}'; "
+                "the stored system is damaged"
+            )
     return manifest
 
 
 def load_system(dirpath) -> GambletSystem:
-    manifest = read_manifest(dirpath)
-    with open(os.path.join(dirpath, manifest["files"]["hierarchy"])) as fh:
-        hier = hierarchy_from_json(fh.read())
-    if hier.sha256() != manifest["hierarchy_sha256"]:
-        raise BadConfig("manifest field 'hierarchy_sha256' does not match the stored hierarchy")
+    """Load a system written by save_system, after verify_system has checked every file."""
+    manifest = verify_system(dirpath)
+    files = manifest["files"]
+    with open(os.path.join(dirpath, files["hierarchy"]), "rb") as fh:
+        hier = hierarchy_from_json(fh.read().decode())
     if hier.sizes != list(manifest["sizes"]):
         raise BadConfig("manifest field 'sizes' does not match the stored hierarchy")
     q = hier.q
@@ -399,7 +452,9 @@ def load_system(dirpath) -> GambletSystem:
         raise BadConfig("manifest field 'q' does not match the stored hierarchy")
 
     def load(name, rows, cols):
-        m = load_matrix_csv(os.path.join(dirpath, manifest["files"][name]))
+        if name not in files:
+            raise BadConfig(f"manifest lists no file for matrix '{name}'")
+        m = np.load(os.path.join(dirpath, files[name]), allow_pickle=False)
         if m.shape != (rows, cols):
             raise BadConfig(f"matrix '{name}' has shape {m.shape}, manifest implies ({rows}, {cols})")
         return m

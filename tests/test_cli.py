@@ -64,6 +64,21 @@ def test_transform_detects_damaged_store(tmp_path, capsys):
     assert "hierarchy_sha256" in stderr
 
 
+def test_transform_cache_hit_checks_stored_files(tmp_path, capsys):
+    out = tmp_path / "sys"
+    argv = ["transform", "--problem", "pde-1d", "--q", "3", "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    path = out / "system" / "b_2.npy"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1
+    assert "cache hit" not in stdout
+    assert stderr.startswith("error:")
+    assert "b_2.npy" in stderr
+
+
 def test_transform_rejects_corrupt_outer_manifest(tmp_path, capsys):
     out = tmp_path / "sys"
     out.mkdir()

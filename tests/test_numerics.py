@@ -88,6 +88,23 @@ def test_extreme_eigs_tridiagonal_spectrum():
     assert_allclose(hi, 2 - 2 * math.cos(8 * math.pi / 9), rtol=1e-9)
 
 
+def test_extreme_eigs_tridiagonal_spectrum_order_600():
+    # Past 512, where the dense solve once gave way to power iteration.
+    t = tridiag(600, -1.0, 2.0, -1.0)
+    lo, hi = extreme_eigs(t)
+    assert_allclose(lo, 2 - 2 * math.cos(math.pi / 601), rtol=1e-9)
+    assert_allclose(hi, 2 - 2 * math.cos(600 * math.pi / 601), rtol=1e-9)
+
+
+def test_extreme_eigs_indefinite_known_spectrum():
+    n = 520
+    evals = np.linspace(-3.0, 5.0, n)
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((n, n)))
+    m = symmetrize(q @ np.diag(evals) @ q.T)
+    lo, hi = extreme_eigs(m)
+    assert_allclose([lo, hi], [-3.0, 5.0], rtol=1e-10)
+
+
 def test_extreme_eigs_permutation_invariant():
     a = random_spd(16, 7)
     p = np.random.default_rng(8).permutation(16)

@@ -232,9 +232,45 @@ def test_load_rejects_missing_manifest_field(sys_1d_rough_q4, tmp_path):
 def test_load_rejects_corrupted_matrix(sys_1d_rough_q4, tmp_path):
     d = tmp_path / "system"
     gb.save_system(sys_1d_rough_q4, d)
-    m = gb.load_matrix_csv(d / "a_2.csv")
-    gb.dump_matrix_csv(d / "a_2.csv", m[:-1])
+    m = np.load(d / "a_2.npy")
+    np.save(d / "a_2.npy", m[:-1])
     with pytest.raises(GambletError, match="a_2"):
+        gb.load_system(d)
+
+
+def test_load_rejects_flipped_byte(sys_1d_rough_q4, tmp_path):
+    d = tmp_path / "system"
+    gb.save_system(sys_1d_rough_q4, d)
+    path = d / "r_3.npy"
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01  # a valid float64 still; only the digest can tell
+    path.write_bytes(bytes(data))
+    with pytest.raises(BadConfig, match="r_3"):
+        gb.load_system(d)
+
+
+def test_save_is_byte_identical(sys_1d_rough_q4, tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    gb.save_system(sys_1d_rough_q4, one)
+    gb.save_system(sys_1d_rough_q4, two)
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    manifest = json.loads((one / "manifest.json").read_text())
+    assert manifest["hierarchy_sha256"] == sys_1d_rough_q4.hier.sha256()
+    assert set(manifest["sha256"]) == set(manifest["files"]) - {"hierarchy"}
+
+
+def test_load_rejects_csv_store(sys_1d_rough_q4, tmp_path):
+    d = tmp_path / "system"
+    gb.save_system(sys_1d_rough_q4, d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["files"] = {k: v.replace(".npy", ".csv") for k, v in manifest["files"].items()}
+    del manifest["sha256"]
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BadConfig, match="re-save"):
         gb.load_system(d)
 
 
