@@ -60,7 +60,6 @@ class ExperimentConfig:
     coefficient: str = "rough"
     out: str = "out"
     trunc: float = 0.0
-    threads: int = 1
     signal: str | None = None
     methods: str | None = None
     confidence: float = 0.95
@@ -83,8 +82,6 @@ class ExperimentConfig:
             raise BadConfig(f"trials must be >= 1, got {self.trials}")
         if self.trunc < 0:
             raise BadConfig(f"trunc must be >= 0, got {self.trunc}")
-        if self.threads < 1:
-            raise BadConfig(f"threads must be >= 1, got {self.threads}")
         if not 0.0 < self.confidence < 1.0:
             raise BadConfig(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.t0 is not None and self.t0 < 0:
@@ -108,7 +105,7 @@ class ExperimentConfig:
 def _parsers() -> dict:
     out = {}
     for f in fields(ExperimentConfig):
-        if f.name in ("q", "trials", "seed", "threads", "synthetic_grid", "ground"):
+        if f.name in ("q", "trials", "seed", "synthetic_grid", "ground"):
             out[f.name] = int
         elif f.name in ("sigma", "bound", "trunc", "confidence", "t0", "sigma_rms"):
             out[f.name] = float
@@ -226,7 +223,6 @@ def _stats_record(stats: dn.TrialStats) -> dict:
         "n_trials": stats.n_trials,
         "seed": stats.seed,
         "level": stats.level,
-        "level_histogram": {str(k): v for k, v in stats.level_histogram.items()},
         "tuned_t0": stats.tuned_t0,
     }
 
@@ -309,7 +305,7 @@ def cmd_denoise(cfg: ExperimentConfig) -> int:
     )
     stats = dn.run_trials(
         sys, op, dcfg, cfg.trials, cfg.seed,
-        methods=cfg.method_list(), threads=cfg.threads,
+        methods=cfg.method_list(),
     )
     os.makedirs(cfg.out, exist_ok=True)
     save_system(sys, os.path.join(cfg.out, "system"))
@@ -498,7 +494,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--seed", type=int, help="base seed for all randomness")
     sp.add_argument("--trunc", type=float, help="transform truncation tolerance (0 = exact)")
-    sp.add_argument("--threads", type=int, help="trial-level parallelism cap")
     sp.add_argument("--q", type=int, help="number of hierarchy levels")
 
 

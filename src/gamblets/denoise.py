@@ -11,16 +11,23 @@ Four estimators operate on a noisy fine vector eta = u + zeta:
   min x^T A x subject to |x - y| <= gamma via its Lagrangian form
   x = (alpha A + I)^{-1} y, locating alpha by bisection.
 
+Every estimator also takes an (N, T) block of T signals, one per
+column, and treats it in one pass: the level filter and thresholding
+are linear or entry-wise in the wavelet coefficients, and
+regularization solves all columns in one eigenbasis of A.
+
 run_trials evaluates all methods on identical signal/noise draws and
-aggregates error statistics; energy_growth_check measures how much
-energy the level filter picks up from the noise.
+aggregates error statistics. It is the PDE front end of the one trial
+engine, which draws every trial up front and runs each method once on
+the whole block; the graph pipeline (graphdenoise.denoise_graph) feeds
+the same engine. energy_growth_check measures how much energy the
+level filter picks up from the noise on the same draws.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +41,12 @@ from .errors import (
     NoBracketWarning,
 )
 from .numerics import CholFactor, chi_square_quantile, cholesky, solve_spd, symmetrize
+from .operators import measurement_overlap
 from .transform import (
     GambletSystem,
     MultiresCoefficients,
     analyze,
+    coefficient_energies,
     energy_norm,
     reconstruct,
 )
@@ -97,6 +106,14 @@ class DenoiseConfig:
 
 @dataclass
 class DenoiseResult:
+    """One estimator's output.
+
+    For an (N,) signal, recovered is (N,), level_energies (q,) and
+    energy and alpha are scalars. For an (N, T) block, recovered is
+    (N, T), level_energies (q, T) and energy and alpha (T,) arrays
+    (alpha NaN where regularize returns zero).
+    """
+
     recovered: np.ndarray
     level: int | None = None
     level_energies: np.ndarray | None = None
@@ -122,7 +139,6 @@ class TrialStats:
     n_trials: int
     seed: int
     level: int
-    level_histogram: dict[int, int]
     tuned_t0: dict[str, float] = field(default_factory=dict)
     first_realization: dict | None = None
 
@@ -154,14 +170,16 @@ def select_level(cfg: DenoiseConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Estimators.
+# Estimators. Each takes an (N,) signal or an (N, T) block of T signals,
+# one per column, and works on the whole block at once; a vector is the
+# T = 1 case of the same code.
 
 def _result_from_coeffs(sys: GambletSystem, coeffs: list[np.ndarray], level=None) -> DenoiseResult:
-    energies = np.array([float(c @ sys.b_of(k + 1) @ c) for k, c in enumerate(coeffs)])
+    energies = coefficient_energies(sys, MultiresCoefficients(coeffs))
     v = reconstruct(sys, MultiresCoefficients(coeffs))
     return DenoiseResult(
         recovered=v, level=level, level_energies=energies,
-        energy=float(np.sqrt(max(energies.sum(), 0.0))),
+        energy=np.sqrt(np.maximum(energies.sum(axis=0), 0.0)),
     )
 
 
@@ -179,30 +197,33 @@ def threshold_schedule(cfg: DenoiseConfig, t0: float) -> np.ndarray:
     return t0 * cfg.h ** (-2 * cfg.s * np.arange(1, cfg.q + 1))
 
 
-def _shrink(sys: GambletSystem, y, t0, cfg, rule) -> DenoiseResult:
-    if t0 < 0:
-        raise BadConfig(f"t0 must be >= 0, got {t0}")
+def _shrink(sys: GambletSystem, y, ts: np.ndarray, rule) -> DenoiseResult:
+    """Apply `rule` to every level k of y's coefficients with threshold ts[k]."""
+    if np.any(ts < 0):
+        raise BadConfig(f"thresholds must be >= 0, got {ts}")
     c = analyze(sys, y)
-    ts = threshold_schedule(cfg, t0)
     return _result_from_coeffs(sys, [rule(ck, ts[k]) for k, ck in enumerate(c.levels)])
 
 
-def _hard(x: np.ndarray, t: float) -> np.ndarray:
+def _hard(x: np.ndarray, t) -> np.ndarray:
     return np.where(np.abs(x) > t, x, 0.0)
 
 
-def _soft(x: np.ndarray, t: float) -> np.ndarray:
+def _soft(x: np.ndarray, t) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+_RULES = {"hard-threshold": _hard, "soft-threshold": _soft}
 
 
 def hard_threshold(sys: GambletSystem, y: np.ndarray, t0: float, cfg: DenoiseConfig) -> DenoiseResult:
     """Zero every wavelet coefficient with magnitude at most its level threshold."""
-    return _shrink(sys, y, t0, cfg, _hard)
+    return _shrink(sys, y, threshold_schedule(cfg, t0), _hard)
 
 
 def soft_threshold(sys: GambletSystem, y: np.ndarray, t0: float, cfg: DenoiseConfig) -> DenoiseResult:
     """Shrink every wavelet coefficient toward zero by its level threshold."""
-    return _shrink(sys, y, t0, cfg, _soft)
+    return _shrink(sys, y, threshold_schedule(cfg, t0), _soft)
 
 
 def default_threshold_grid(cfg: DenoiseConfig, size: int = 16) -> np.ndarray:
@@ -214,6 +235,26 @@ def default_threshold_grid(cfg: DenoiseConfig, size: int = 16) -> np.ndarray:
     if cfg.sigma == 0.0:
         return np.array([0.0])
     return np.geomspace(1e-2, 1e2, size) * cfg.sigma * cfg.h ** (2 * cfg.s)
+
+
+def _tune(sys: GambletSystem, cu, ceta, t0_grid, scale: np.ndarray, rule) -> float:
+    """t0 from the grid minimizing the mean energy error of rule(ceta) against cu.
+
+    cu and ceta are per-level (J_k, T) coefficient blocks of T clean and
+    noisy signals; level k is cut at t0 * scale[k]. Every grid point is
+    evaluated at once as a (G, J_k, T) stack, with one B^(k) product per
+    grid slice, so equal thresholds give bit-equal errors and ties go to
+    the smallest t0.
+    """
+    grid = np.sort(np.asarray(t0_grid, dtype=float))
+    if grid.size == 0:
+        raise EmptyGrid("threshold grid is empty")
+    sq = 0.0
+    for k in range(sys.q):
+        diff = rule(ceta[k][None], grid[:, None, None] * scale[k]) - cu[k][None]
+        sq = sq + np.sum(diff * (sys.b_of(k + 1) @ diff), axis=1)
+    mean_err = np.sqrt(np.maximum(sq, 0.0)).mean(axis=1)
+    return float(grid[int(np.argmin(mean_err))])
 
 
 def tune_threshold(
@@ -229,27 +270,52 @@ def tune_threshold(
     is evaluated against the known clean signal u via the per-level
     B-forms, which equals the energy norm of the mismatch.
     """
-    t0_grid = np.sort(np.asarray(t0_grid, dtype=float))
-    if t0_grid.size == 0:
-        raise EmptyGrid("threshold grid is empty")
-    if not trials:
-        raise EmptyGrid("no tuning trials supplied")
     rule = {"hard": _hard, "soft": _soft}.get(kind)
     if rule is None:
         raise BadConfig(f"kind must be 'hard' or 'soft', got {kind!r}")
-    pairs = [(analyze(sys, u).levels, analyze(sys, eta).levels) for u, eta in trials]
-    mean_err = np.zeros(t0_grid.size)
-    for j, t0 in enumerate(t0_grid):
-        ts = threshold_schedule(cfg, t0)
-        total = 0.0
-        for cu, ceta in pairs:
-            sq = 0.0
-            for k in range(sys.q):
-                diff = rule(ceta[k], ts[k]) - cu[k]
-                sq += float(diff @ sys.b_of(k + 1) @ diff)
-            total += np.sqrt(max(sq, 0.0))
-        mean_err[j] = total / len(pairs)
-    return float(t0_grid[int(np.argmin(mean_err))])
+    if not trials:
+        raise EmptyGrid("no tuning trials supplied")
+    cu = analyze(sys, np.column_stack([u for u, _ in trials])).levels
+    ceta = analyze(sys, np.column_stack([eta for _, eta in trials])).levels
+    return _tune(sys, cu, ceta, t0_grid, threshold_schedule(cfg, 1.0), rule)
+
+
+def _secular_alpha(lam: np.ndarray, yhat: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """alpha per column of yhat with g(alpha) = |alpha lam / (1 + alpha lam) yhat| = gamma.
+
+    Every column is bracketed by doubling and then bisected to
+    |g(alpha) - gamma| <= 1e-10 gamma, all columns together. Returns
+    (alpha, unreached): columns with no alpha below 1e30 keep the last
+    bracket end, which gives their limiting recovery.
+    """
+    lam = lam[:, None]
+
+    def g(alpha, cols):
+        return np.linalg.norm(alpha * lam / (1.0 + alpha * lam) * yhat[:, cols], axis=0)
+
+    t = yhat.shape[1]
+    lo, hi = np.zeros(t), np.ones(t)
+    unreached = np.zeros(t, dtype=bool)
+    grow = np.arange(t)
+    while grow.size:
+        grow = grow[g(hi[grow], grow) < gamma]
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        lost = hi[grow] > 1e30
+        unreached[grow[lost]] = True
+        grow = grow[~lost]
+    open_ = np.flatnonzero(~unreached)
+    for _ in range(500):
+        if not open_.size:
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        val = g(mid, open_)
+        hit = np.abs(val - gamma) <= 1e-10 * gamma
+        below = val < gamma
+        lo[open_] = np.where(hit | below, mid, lo[open_])
+        hi[open_] = np.where(hit | ~below, mid, hi[open_])
+        open_ = open_[~hit]
+    return np.where(unreached, lo, 0.5 * (lo + hi)), unreached
 
 
 def regularize(
@@ -258,7 +324,6 @@ def regularize(
     sigma: float,
     confidence: float = 0.95,
     gamma: float | None = None,
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DenoiseResult:
     """Energy-minimizing recovery inside the noise ball |x - y| <= gamma.
 
@@ -270,11 +335,14 @@ def regularize(
     active: g(alpha) = |y - x| = gamma. g increases continuously from
     0 toward |y|, so alpha is bracketed by doubling and then bisected
     to |g(alpha) - gamma| <= 1e-10 gamma.
+
+    For an (N, T) block every column is solved in the one eigenbasis of
+    A; alpha is then a (T,) array, NaN where the zero vector is returned.
     """
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
-    if y.shape != (n,):
+    if y.ndim not in (1, 2) or y.shape[0] != n:
         raise DimensionMismatch(f"signal shape {y.shape}, matrix order {n}")
     if gamma is None:
         if sigma < 0:
@@ -283,51 +351,33 @@ def regularize(
     if gamma < 0:
         raise BadConfig(f"gamma must be >= 0, got {gamma}")
 
-    norm_y = float(np.linalg.norm(y))
-    if norm_y <= gamma:
-        return DenoiseResult(recovered=np.zeros(n), energy=0.0, alpha=None, gamma=gamma)
-    if spectrum is None:
-        lam, vecs = np.linalg.eigh(symmetrize(A))
-    else:
-        lam, vecs = spectrum
-    yhat = vecs.T @ y
-
-    def g(alpha: float) -> float:
-        return float(np.linalg.norm(alpha * lam / (1.0 + alpha * lam) * yhat))
-
+    ys = y.reshape(n, -1)
+    x = np.zeros_like(ys)
+    alpha = np.full(ys.shape[1], np.nan)
+    energy = np.zeros(ys.shape[1])
+    live = np.linalg.norm(ys, axis=0) > gamma  # elsewhere zero is feasible and optimal
     if gamma == 0.0:
-        return DenoiseResult(
-            recovered=y.copy(), energy=energy_norm(A, y), alpha=0.0, gamma=0.0
-        )
-
-    lo, hi = 0.0, 1.0
-    while g(hi) < gamma:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e30:
+        x[:, live] = ys[:, live]
+        alpha[live] = 0.0
+        energy[live] = energy_norm(A, ys[:, live])
+    elif live.any():
+        lam, vecs = np.linalg.eigh(symmetrize(A))
+        yhat = vecs.T @ ys[:, live]
+        a, unreached = _secular_alpha(lam, yhat, gamma)
+        if unreached.any():
             warnings.warn(
-                f"no alpha below 1e30 reaches the constraint (g -> {g(lo):.6g} < gamma = {gamma:.6g}); "
-                "returning the limiting recovery",
+                f"no alpha below 1e30 reaches the constraint for {int(unreached.sum())} of "
+                f"{yhat.shape[1]} signals (gamma = {gamma:.6g}); returning the limiting recovery",
                 NoBracketWarning,
             )
-            x = vecs @ (yhat / (1.0 + lo * lam))
-            return DenoiseResult(
-                recovered=x, energy=energy_norm(A, x), alpha=lo, gamma=gamma
-            )
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val - gamma) <= 1e-10 * gamma:
-            lo = hi = mid
-            break
-        if val < gamma:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    x = vecs @ (yhat / (1.0 + alpha * lam))
-    energy = float(np.sqrt(max(np.sum(lam * (yhat / (1.0 + alpha * lam)) ** 2), 0.0)))
-    return DenoiseResult(recovered=x, energy=energy, alpha=alpha, gamma=gamma)
+        z = yhat / (1.0 + a * lam[:, None])
+        x[:, live] = vecs @ z
+        alpha[live] = a
+        energy[live] = np.sqrt(np.maximum(np.sum(lam[:, None] * z**2, axis=0), 0.0))
+    if y.ndim == 2:
+        return DenoiseResult(recovered=x, energy=energy, alpha=alpha, gamma=gamma)
+    a0 = None if np.isnan(alpha[0]) else float(alpha[0])
+    return DenoiseResult(recovered=x[:, 0], energy=float(energy[0]), alpha=a0, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +412,24 @@ def _cell_projection_2d(n: int, fn) -> np.ndarray:
     return w * avg.reshape(-1)
 
 
+def _source_coefficients(op, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """Source coefficients f over the fine cells for one draw of `mode`."""
+    if mode not in SIGNAL_MODES:
+        raise BadConfig(f"unknown signal mode {mode!r}; options: {SIGNAL_MODES}")
+    n = op.n
+    if mode == "random-sphere":
+        f = rng.standard_normal(n)
+        nf = np.linalg.norm(f)
+        return f / nf if nf > 0 else f
+    if mode == "smooth-1d":
+        if op.dim != 1:
+            raise BadConfig("smooth-1d signal needs a one-dimensional operator")
+        return _cell_projection_1d(n, _smooth_1d)
+    if op.dim != 2:
+        raise BadConfig("smooth-2d signal needs a two-dimensional operator")
+    return _cell_projection_2d(round(n ** 0.5), _smooth_2d)
+
+
 def gen_signal(
     hier,
     op,
@@ -378,26 +446,8 @@ def gen_signal(
     project a fixed formula onto the fine cells by Gauss quadrature.
     Returns (f coefficients over the fine cells, solution vector u).
     """
-    if mode not in SIGNAL_MODES:
-        raise BadConfig(f"unknown signal mode {mode!r}; options: {SIGNAL_MODES}")
-    n = op.n
-    if mode == "random-sphere":
-        f = rng.standard_normal(n)
-        nf = np.linalg.norm(f)
-        if nf > 0:
-            f = f / nf
-    elif mode == "smooth-1d":
-        if op.dim != 1:
-            raise BadConfig("smooth-1d signal needs a one-dimensional operator")
-        f = _cell_projection_1d(n, _smooth_1d)
-    else:
-        if op.dim != 2:
-            raise BadConfig("smooth-2d signal needs a two-dimensional operator")
-        side = round(n ** 0.5)
-        f = _cell_projection_2d(side, _smooth_2d)
+    f = _source_coefficients(op, mode, rng)
     if overlap is None:
-        from .operators import measurement_overlap
-
         overlap = measurement_overlap(hier, op)
     if factor is None:
         factor = cholesky(op.A)
@@ -415,43 +465,76 @@ def add_noise(u: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarr
     return u + sigma * rng.standard_normal(u.shape[0])
 
 
-def errors(op, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(energy-norm, L2-norm) of v - u under the operator's A and mass forms."""
+def errors(op, u: np.ndarray, v: np.ndarray):
+    """(energy-norm, L2-norm) of v - u under the operator's A and mass forms.
+
+    Floats for (N,) vectors; for (N, T) blocks, (T,) arrays of the
+    column errors.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.shape != (op.n,):
+    if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[0] != op.n:
         raise DimensionMismatch(f"vector shapes {u.shape} and {v.shape} for operator order {op.n}")
     diff = v - u
-    e = float(np.sqrt(max(diff @ op.A @ diff, 0.0)))
-    l2 = float(np.sqrt(max(diff @ op.mass @ diff, 0.0)))
-    return e, l2
+    return energy_norm(op.A, diff), energy_norm(op.mass, diff)
 
 
 # ---------------------------------------------------------------------------
-# Trial harness.
+# Trial engine.
 
 def _trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, index]))
 
 
-def run_trials(
+def _pde_source(sys: GambletSystem, op, mode: str):
+    """Block source of run_trials: per-trial f draws, one solve A U = O F."""
+    overlap = measurement_overlap(sys.hier, op)
+    factor = cholesky(op.A)
+
+    def source(rngs):
+        f = np.column_stack([_source_coefficients(op, mode, rng) for rng in rngs])
+        return f, solve_spd(factor, overlap @ f)
+
+    return source
+
+
+def _draw_trials(source, sigma: float, seed: int, stream: int, count: int):
+    """(F, U, ETA) blocks of `count` trials, trial k in column k.
+
+    Trial k reads the generator keyed by (seed, stream, k): first the
+    source draws its f, then the noise, as gen_signal and add_noise
+    would on that generator.
+    """
+    rngs = [_trial_rng(seed, stream, k) for k in range(count)]
+    f, u = source(rngs)
+    return f, u, np.column_stack([add_noise(u[:, k], sigma, rng) for k, rng in enumerate(rngs)])
+
+
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample STDEV; the STDEV of equal entries is exactly 0."""
+    avg = float(np.mean(x))
+    std = float(np.std(x - x[0], ddof=1)) if x.size > 1 else 0.0
+    return avg, std
+
+
+def _trial_engine(
     sys: GambletSystem,
     op,
     cfg: DenoiseConfig,
+    source,
+    scale: np.ndarray,
     n_trials: int,
     seed: int,
-    methods: tuple[str, ...] | list[str] | None = None,
-    threads: int = 1,
-    tune_size: int = 32,
-    t0_grid: np.ndarray | None = None,
-    capture_first: bool = True,
+    methods,
+    tune_size: int,
+    t0_grid,
 ) -> TrialStats:
-    """Evaluate the estimators on n_trials independent signal/noise draws.
+    """Evaluate the estimators on n_trials draws, all trials as one block.
 
-    Every method sees the identical (f, zeta) pair within a trial.
-    Trial k draws from a child generator keyed by (seed, 0, k), and
-    threshold tuning uses a disjoint stream keyed by (seed, 1, i), so
-    results are reproducible and independent of thread count.
+    source(rngs) returns the (N, T) blocks (F, U) of the clean trials,
+    drawing from each generator in turn; the engine adds the noise.
+    Shrinkage thresholds are t0 * scale[k] on level k. Trials come from
+    the streams (seed, 0, k) and tuning pairs from (seed, 1, i).
     """
     if n_trials < 1:
         raise BadConfig(f"n_trials must be >= 1, got {n_trials}")
@@ -463,102 +546,78 @@ def run_trials(
             raise BadConfig(f"unknown method {m!r}; options: {METHODS}")
 
     l_dag = select_level(cfg)
-    factor = cholesky(op.A)
-    overlap = None
-    if op.kind != "graph":
-        from .operators import measurement_overlap
-
-        overlap = measurement_overlap(sys.hier, op)
-
-    def make_trial(rng):
-        f, u = gen_signal(sys.hier, op, cfg.signal, rng, overlap=overlap, factor=factor)
-        eta = add_noise(u, cfg.sigma, rng)
-        return f, u, eta
+    if l_dag == 0 and "level-filter" in methods:
+        warnings.warn("selected level is 0: the level filter returns the zero vector")
 
     tuned: dict[str, float] = {}
-    needs_tuning = [m for m in ("hard-threshold", "soft-threshold") if m in methods]
-    if needs_tuning:
-        if cfg.t0 is not None:
-            for m in needs_tuning:
-                tuned[m] = cfg.t0
+    shrinkers = [m for m in _RULES if m in methods]
+    if shrinkers and cfg.t0 is not None:
+        tuned = {m: cfg.t0 for m in shrinkers}
+    elif shrinkers:
+        if tune_size < 1:
+            raise EmptyGrid("no tuning trials supplied")
+        grid = default_threshold_grid(cfg) if t0_grid is None else t0_grid
+        _, u, eta = _draw_trials(source, cfg.sigma, seed, 1, tune_size)
+        cu, ceta = analyze(sys, u).levels, analyze(sys, eta).levels
+        tuned = {m: _tune(sys, cu, ceta, grid, scale, _RULES[m]) for m in shrinkers}
+        log.info("tuned thresholds: %s", tuned)
+
+    f, u, eta = _draw_trials(source, cfg.sigma, seed, 0, n_trials)
+    recs = {}
+    for m in methods:
+        if m == "level-filter":
+            recs[m] = level_filter(sys, eta, l_dag).recovered
+        elif m == "regularization":
+            recs[m] = regularize(op, eta, cfg.sigma, cfg.confidence).recovered
         else:
-            grid = default_threshold_grid(cfg) if t0_grid is None else t0_grid
-            pairs = []
-            for i in range(tune_size):
-                _, u, eta = make_trial(_trial_rng(seed, 1, i))
-                pairs.append((u, eta))
-            for m in needs_tuning:
-                tuned[m] = tune_threshold(sys, pairs, grid, cfg, kind=m.split("-")[0])
-            log.info("tuned thresholds: %s", tuned)
+            recs[m] = _shrink(sys, eta, tuned[m] * scale, _RULES[m]).recovered
 
-    spectrum = None
-    gamma = None
-    if "regularization" in methods:
-        lam, vecs = np.linalg.eigh(symmetrize(np.asarray(op.A, dtype=float)))
-        spectrum = (lam, vecs)
-        gamma = float(cfg.sigma * np.sqrt(chi_square_quantile(op.n, cfg.confidence)))
-
-    def recover(method, eta):
-        if method == "level-filter":
-            return level_filter(sys, eta, l_dag).recovered
-        if method == "hard-threshold":
-            return hard_threshold(sys, eta, tuned[method], cfg).recovered
-        if method == "soft-threshold":
-            return soft_threshold(sys, eta, tuned[method], cfg).recovered
-        return regularize(
-            op, eta, cfg.sigma, cfg.confidence, gamma=gamma, spectrum=spectrum
-        ).recovered
-
-    err = np.zeros((n_trials, len(methods), 2))
-    noise = np.zeros(n_trials)
-    first: dict | None = None
-
-    def run_one(k: int):
-        f, u, eta = make_trial(_trial_rng(seed, 0, k))
-        noise[k] = energy_norm(op, eta - u)
-        recs = {}
-        for j, m in enumerate(methods):
-            v = recover(m, eta)
-            err[k, j] = errors(op, u, v)
-            if k == 0 and capture_first:
-                recs[m] = v
-        if k == 0 and capture_first:
-            return {"f": f, "u": u, "eta": eta, "recoveries": recs, "level": l_dag}
-        return None
-
-    if threads > 1 and n_trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for out in pool.map(run_one, range(n_trials)):
-                if out is not None:
-                    first = out
-    else:
-        for k in range(n_trials):
-            out = run_one(k)
-            if out is not None:
-                first = out
-
-    def stats_of(col):
-        avg = float(np.mean(col))
-        std = float(np.std(col, ddof=1)) if n_trials > 1 else 0.0
-        return avg, std
-
-    per_method = {}
-    for j, m in enumerate(methods):
-        ea, es = stats_of(err[:, j, 0])
-        la, ls = stats_of(err[:, j, 1])
-        per_method[m] = MethodStats(ea, es, la, ls)
-    na, ns = stats_of(noise)
+    stats = {}
+    for m in methods:
+        energy, l2 = errors(op, u, recs[m])
+        stats[m] = MethodStats(*_mean_std(energy), *_mean_std(l2))
+    noise_avg, noise_std = _mean_std(energy_norm(op, eta - u))
     return TrialStats(
         methods=methods,
-        stats=per_method,
-        noise_energy_avg=na,
-        noise_energy_std=ns,
+        stats=stats,
+        noise_energy_avg=noise_avg,
+        noise_energy_std=noise_std,
         n_trials=n_trials,
         seed=seed,
         level=l_dag,
-        level_histogram={l_dag: n_trials},
         tuned_t0=tuned,
-        first_realization=first,
+        first_realization={
+            "f": f[:, 0].copy(),
+            "u": u[:, 0].copy(),
+            "eta": eta[:, 0].copy(),
+            "recoveries": {m: r[:, 0].copy() for m, r in recs.items()},
+            "level": l_dag,
+        },
+    )
+
+
+def run_trials(
+    sys: GambletSystem,
+    op,
+    cfg: DenoiseConfig,
+    n_trials: int,
+    seed: int,
+    methods: tuple[str, ...] | list[str] | None = None,
+    tune_size: int = 32,
+    t0_grid: np.ndarray | None = None,
+) -> TrialStats:
+    """Evaluate the estimators on n_trials independent signal/noise draws.
+
+    Every method sees the identical (f, zeta) pair within a trial.
+    Trial k draws from a child generator keyed by (seed, 0, k), and
+    threshold tuning uses a disjoint stream keyed by (seed, 1, i), so
+    results are reproducible. All trials are drawn up front and every
+    method runs on the (N, n_trials) block at once; shrinkage follows
+    threshold_schedule.
+    """
+    return _trial_engine(
+        sys, op, cfg, _pde_source(sys, op, cfg.signal), threshold_schedule(cfg, 1.0),
+        n_trials, seed, methods, tune_size, t0_grid,
     )
 
 
@@ -579,28 +638,20 @@ def energy_growth_check(
     bounds it by the triangle inequality. With return_samples the
     (n_trials, 3) array of |recovery|_A, |u|_A and the noise pickup
     |level_filter(eta - u)|_A is returned as well.
+
+    The trials are run_trials' draws; eta and eta - u are filtered
+    together as one (N, 2 n_trials) block.
     """
     l_dag = select_level(cfg)
     if l_dag == 0:
         raise LevelZero("selected level is 0; the statistic needs at least one level")
-    factor = cholesky(op.A)
-    overlap = None
-    if op.kind != "graph":
-        from .operators import measurement_overlap
-
-        overlap = measurement_overlap(sys.hier, op)
-    samples = np.zeros((n_trials, 3))
-    for k in range(n_trials):
-        rng = _trial_rng(seed, 0, k)
-        _, u = gen_signal(sys.hier, op, cfg.signal, rng, overlap=overlap, factor=factor)
-        eta = add_noise(u, cfg.sigma, rng)
-        rec = level_filter(sys, eta, l_dag).recovered
-        zrec = level_filter(sys, eta - u, l_dag).recovered
-        samples[k] = (
-            energy_norm(op, rec),
-            energy_norm(op, u),
-            energy_norm(op, zrec),
-        )
+    _, u, eta = _draw_trials(_pde_source(sys, op, cfg.signal), cfg.sigma, seed, 0, n_trials)
+    rec = level_filter(sys, np.hstack([eta, eta - u]), l_dag).recovered
+    samples = np.column_stack([
+        energy_norm(op, rec[:, :n_trials]),
+        energy_norm(op, u),
+        energy_norm(op, rec[:, n_trials:]),
+    ])
     qv = float(np.quantile(samples[:, 0] - samples[:, 1], quantile))
     if return_samples:
         return qv, samples

@@ -6,7 +6,10 @@ detail-block spectra, and d_eff, the growth dimension of the detail
 index sets. estimate_H_d fits both by least squares, and
 select_level_graph plugs them into the level-selection rule in place
 of (h^s, d). denoise_graph is the end-to-end pipeline: ground, build a
-hierarchy from vertex coordinates, transform, add noise, recover.
+hierarchy from vertex coordinates, transform, fit the scales, then hand
+the fixed clean signal to the trial engine of denoise.py, which adds
+the noise and runs the level filter and a hard threshold that is the
+same on every level.
 
 Vertices are re-indexed internally to the hierarchy's fine-box order;
 everything returned to the caller is in the original vertex order.
@@ -14,8 +17,6 @@ everything returned to the caller is in the original vertex order.
 
 from __future__ import annotations
 
-import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,16 @@ import numpy as np
 from .denoise import (
     DenoiseConfig,
     DenoiseResult,
-    MethodStats,
     TrialStats,
-    _hard,
-    _result_from_coeffs,
-    errors,
+    _trial_engine,
     level_filter,
     select_level,
 )
-from .errors import BadConfig, EmptyGrid, GambletError, ShapeMismatch, TooFewLevels
+from .errors import BadConfig, GambletError, ShapeMismatch, TooFewLevels
 from .hierarchy import build_from_points
 from .numerics import cholesky, extreme_eigs, solve_spd
 from .operators import DiscreteOperator, GeometricGraph, grounded_laplacian
-from .transform import GambletSystem, analyze, energy_norm, transform
-
-log = logging.getLogger("gamblets")
+from .transform import GambletSystem, transform
 
 GRAPH_METHODS = ("level-filter", "hard-threshold")
 
@@ -98,36 +94,13 @@ def estimate_H_d(sys: GambletSystem) -> GraphScaleEstimate:
     )
 
 
+def _graph_config(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> DenoiseConfig:
+    return DenoiseConfig(d=est.d_eff, q=q, sigma=sigma, bound=bound, h=est.H, s=1.0)
+
+
 def select_level_graph(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> int:
     """Level choice with (H, d_eff) substituted for (h^s, d)."""
-    cfg = DenoiseConfig(d=est.d_eff, q=q, sigma=sigma, bound=bound, h=est.H, s=1.0)
-    return select_level(cfg)
-
-
-def _hard_fixed(sys: GambletSystem, y: np.ndarray, t: float) -> DenoiseResult:
-    """Hard thresholding with one fixed threshold across all levels."""
-    c = analyze(sys, y)
-    return _result_from_coeffs(sys, [_hard(ck, t) for ck in c.levels])
-
-
-def _tune_fixed_hard(sys: GambletSystem, pairs, grid: np.ndarray) -> float:
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise EmptyGrid("threshold grid is empty")
-    coeffs = [(analyze(sys, u).levels, analyze(sys, eta).levels) for u, eta in pairs]
-    best_t, best_err = float(grid[0]), np.inf
-    for t in grid:
-        total = 0.0
-        for cu, ceta in coeffs:
-            sq = 0.0
-            for k in range(sys.q):
-                diff = _hard(ceta[k], t) - cu[k]
-                sq += float(diff @ sys.b_of(k + 1) @ diff)
-            total += np.sqrt(max(sq, 0.0))
-        err = total / len(coeffs)
-        if err < best_err:
-            best_t, best_err = float(t), err
-    return best_t
+    return select_level(_graph_config(est, sigma, bound, q))
 
 
 def _default_vertex_signal(coords: np.ndarray) -> np.ndarray:
@@ -171,13 +144,11 @@ def denoise_graph(
     i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
     directly or as sigma_rms times the RMS of u. bound defaults to |f|.
     Recovery uses the level filter at the level chosen from the fitted
-    (H, d_eff), with a fixed-threshold hard comparator tuned on a
-    separate noise stream.
+    (H, d_eff), with a hard threshold that is the same on every level as
+    the comparator, its value tuned on a separate noise stream. Both run
+    in the trial engine of denoise.py; its outputs are permuted back to
+    vertex order here.
     """
-    if trials < 1:
-        raise BadConfig(f"trials must be >= 1, got {trials}")
-    if trials < 2:
-        warnings.warn("statistics over a single trial: STDEV is reported as 0")
     op = grounded_laplacian(g)
     hier = build_from_points(op.node_coords, q)
     if hier.n_fine != op.n:
@@ -218,74 +189,32 @@ def denoise_graph(
         raise BadConfig(f"sigma must be >= 0, got {sigma}")
     if bound is None:
         bound = float(np.linalg.norm(f_box))
-    l_dag = select_level_graph(est, sigma, bound, q)
 
-    if sigma == 0.0:
-        t_fixed = 0.0
-    else:
-        grid = np.geomspace(1e-2, 1e2, 16) * sigma
-        pairs = []
-        for i in range(tune_size):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
-            pairs.append((u_box, u_box + sigma * rng.standard_normal(op.n)))
-        t_fixed = _tune_fixed_hard(sys, pairs, grid)
-        log.info("fixed hard threshold tuned to %.6g", t_fixed)
+    def source(rngs):
+        t = len(rngs)
+        return np.repeat(f_box[:, None], t, axis=1), np.repeat(u_box[:, None], t, axis=1)
 
-    err = np.zeros((trials, 2, 2))
-    noise = np.zeros(trials)
-    first: DenoiseResult | None = None
-    first_real: dict | None = None
-    for k in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, k]))
-        eta = u_box + sigma * rng.standard_normal(op.n) if sigma > 0 else u_box.copy()
-        noise[k] = energy_norm(op_box, eta - u_box)
-        res_lf = level_filter(sys, eta, l_dag)
-        res_ht = _hard_fixed(sys, eta, t_fixed)
-        err[k, 0] = errors(op_box, u_box, res_lf.recovered)
-        err[k, 1] = errors(op_box, u_box, res_ht.recovered)
-        if k == 0:
-            first = DenoiseResult(
-                recovered=res_lf.recovered[p],
-                level=l_dag,
-                level_energies=res_lf.level_energies,
-                energy=res_lf.energy,
-            )
-            first_real = {
-                "f": f_box[p],
-                "u": u_box[p],
-                "eta": eta[p],
-                "recoveries": {
-                    "level-filter": res_lf.recovered[p],
-                    "hard-threshold": res_ht.recovered[p],
-                },
-                "level": l_dag,
-            }
-
-    def stats_of(col):
-        avg = float(np.mean(col))
-        std = float(np.std(col, ddof=1)) if trials > 1 else 0.0
-        return avg, std
-
-    per_method = {}
-    for j, m in enumerate(GRAPH_METHODS):
-        ea, es = stats_of(err[:, j, 0])
-        la, ls = stats_of(err[:, j, 1])
-        per_method[m] = MethodStats(ea, es, la, ls)
-    na, ns = stats_of(noise)
-    stats = TrialStats(
-        methods=list(GRAPH_METHODS),
-        stats=per_method,
-        noise_energy_avg=na,
-        noise_energy_std=ns,
-        n_trials=trials,
-        seed=seed,
-        level=l_dag,
-        level_histogram={l_dag: trials},
-        tuned_t0={"hard-threshold": t_fixed},
-        first_realization=first_real,
+    stats = _trial_engine(
+        sys, op_box, _graph_config(est, sigma, bound, q), source, np.ones(q),
+        trials, seed, GRAPH_METHODS, tune_size, np.geomspace(1e-2, 1e2, 16) * sigma,
     )
+    l_dag = stats.level
+    real = stats.first_realization
+    first = level_filter(sys, real["eta"], l_dag)  # the first trial's level energies
+    stats.first_realization = {
+        "f": real["f"][p],
+        "u": real["u"][p],
+        "eta": real["eta"][p],
+        "recoveries": {m: r[p] for m, r in real["recoveries"].items()},
+        "level": l_dag,
+    }
     return GraphDenoiseOutput(
-        result=first,
+        result=DenoiseResult(
+            recovered=stats.first_realization["recoveries"]["level-filter"],
+            level=l_dag,
+            level_energies=first.level_energies,
+            energy=first.energy,
+        ),
         stats=stats,
         estimate=est,
         level=l_dag,

@@ -8,7 +8,8 @@ A^(k-1) = R A^(k) R^T. oracle_transform() computes every A^(k)
 independently by inverting the measurement Gram matrix
 Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists purely to cross-check
 the recursion. analyze()/reconstruct() move signals between fine
-coefficients and per-level wavelet coefficients, solve() is the
+coefficients and per-level wavelet coefficients, one vector or an
+(N, T) block of T signals at a time, solve() is the
 multilevel solver, and z_matrix() assembles the noise covariance
 scaling of the dual wavelets. Each diagonal (per-level) block of Z has
 lambda_min >= 1; the full Z can fall below 1 through its cross-level
@@ -237,16 +238,22 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     )
 
 
+def _check_block(x: np.ndarray, n: int, what: str) -> None:
+    """Accept an (n,) vector or an (n, T) block of T column signals."""
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatch(f"{what} shape {x.shape}, expected ({n},) or ({n}, T)")
+
+
 def analyze(sys: GambletSystem, y: np.ndarray) -> MultiresCoefficients:
     """Wavelet coefficients of a fine-coefficient signal.
 
     Fine measurements equal fine coefficients (m^(q) = y); coarser
     measurements descend through pi, and c^(k) = N^(k),T m^(k) with
-    c^(1) = m^(1).
+    c^(1) = m^(1). y may be an (N,) vector or an (N, T) block of T
+    signals, one per column; each level then has T columns.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (sys.n_fine,):
-        raise DimensionMismatch(f"signal shape {y.shape}, expected ({sys.n_fine},)")
+    _check_block(y, sys.n_fine, "signal")
     m = y
     levels: list[np.ndarray] = [None] * sys.q
     for k in range(sys.q, 1, -1):
@@ -257,7 +264,10 @@ def analyze(sys: GambletSystem, y: np.ndarray) -> MultiresCoefficients:
 
 
 def reconstruct(sys: GambletSystem, c: MultiresCoefficients, upto: int | None = None) -> np.ndarray:
-    """Sum of the wavelet contributions of levels 1..upto, lifted to fine coefficients."""
+    """Sum of the wavelet contributions of levels 1..upto, lifted to fine coefficients.
+
+    Column blocks of coefficients (from a block analyze) give an (N, T) block.
+    """
     if upto is None:
         upto = sys.q
     if not (0 <= upto <= sys.q):
@@ -265,7 +275,7 @@ def reconstruct(sys: GambletSystem, c: MultiresCoefficients, upto: int | None = 
     if c.q != sys.q:
         raise DimensionMismatch(f"coefficients have {c.q} levels, system has {sys.q}")
     if upto == 0:
-        return np.zeros(sys.n_fine)
+        return np.zeros((sys.n_fine,) + c.levels[0].shape[1:])
     x = c.levels[0].copy()
     for k in range(2, sys.q + 1):
         x = sys.r_of(k).T @ x
@@ -288,18 +298,29 @@ def solve(sys: GambletSystem, f: np.ndarray) -> np.ndarray:
     return reconstruct(sys, MultiresCoefficients(levels))
 
 
-def energy_norm(op, x: np.ndarray) -> float:
-    """sqrt(x^T A x), clamping round-off negatives to zero."""
+def _quadratic_form(m: np.ndarray, x: np.ndarray):
+    """x^T m x of a vector, or of every column of an (n, T) block."""
+    return np.sum(x * (m @ x), axis=0)
+
+
+def energy_norm(op, x: np.ndarray):
+    """sqrt(x^T A x), clamping round-off negatives to zero.
+
+    A float for an (N,) vector, a (T,) array for an (N, T) block.
+    """
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != (A.shape[0],):
-        raise DimensionMismatch(f"vector shape {x.shape}, matrix order {A.shape[0]}")
-    return float(np.sqrt(max(x @ A @ x, 0.0)))
+    _check_block(x, A.shape[0], "vector")
+    e = np.sqrt(np.maximum(_quadratic_form(A, x), 0.0))
+    return float(e) if x.ndim == 1 else e
 
 
 def coefficient_energies(sys: GambletSystem, c: MultiresCoefficients) -> np.ndarray:
-    """Per-level energies c^(k),T B^(k) c^(k); their sum is the squared energy norm."""
-    return np.array([float(c.levels[k - 1] @ sys.b_of(k) @ c.levels[k - 1]) for k in range(1, sys.q + 1)])
+    """Per-level energies c^(k),T B^(k) c^(k); their sum is the squared energy norm.
+
+    Shape (q,), or (q, T) for column blocks of coefficients.
+    """
+    return np.array([_quadratic_form(sys.b_of(k), c.levels[k - 1]) for k in range(1, sys.q + 1)])
 
 
 def z_matrix(sys: GambletSystem) -> np.ndarray:

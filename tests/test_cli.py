@@ -138,7 +138,8 @@ def test_denoise_writes_results_and_realization(tmp_path, capsys):
     assert manifest["command"] == "denoise"
     assert manifest["n_trials"] == 3
     assert set(manifest["stats"]) == set(manifest["methods"])
-    assert sum(manifest["level_histogram"].values()) == 3
+    assert manifest["level"] == 4
+    assert "level_histogram" not in manifest
 
     # reruns are byte-identical where the content does not embed the path
     out2 = tmp_path / "run2"
@@ -291,6 +292,55 @@ def test_graph_failure_modes(tmp_path, capsys):
     )
     assert code == 1
     assert "ground" in stderr
+
+
+# ---------------------------------------------------------------------------
+# regression pins: results of the per-trial harness the block engine replaced
+
+PINNED = {
+    "denoise": (
+        ["denoise", "--q", "4", "--trials", "8"],
+        4,
+        {"hard-threshold": 1.5773933612004833e-05, "soft-threshold": 4.619624493555727e-06},
+        {
+            "level-filter": (0.021201624830824439, 0.0050876309830751943,
+                             0.00073109477792554793, 0.00017351823800515527),
+            "hard-threshold": (0.017526103792233596, 0.0028002703253935768,
+                               0.00074952095288662957, 0.00018346193318493243),
+            "soft-threshold": (0.014990401119981251, 0.0022580346194781028,
+                               0.00068989387998621889, 0.00016410616548095941),
+            "regularization": (0.017973950169905599, 0.0028307761311197688,
+                               0.0013353376927825421, 0.00021399823227616946),
+        },
+    ),
+    "graph": (
+        ["graph", "--synthetic-grid", "8", "--q", "3", "--sigma-rms", "0.01", "--trials", "3"],
+        2,
+        {"hard-threshold": 0.852216341842035},
+        {
+            "level-filter": (2.2702248577931363, 0.042599314538336437,
+                             1.4701898234477078, 0.11985864610361088),
+            "hard-threshold": (2.5812945270010181, 0.23326591216402859,
+                               1.8671351071199105, 0.30869016394224486),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_results_match_pinned_numbers(name, tmp_path, capsys):
+    argv, level, tuned, rows = PINNED[name]
+    out = tmp_path / name
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["level"] == level
+    assert manifest["tuned_t0"] == tuned
+    lines = read_csv_lines(out / "results.csv")[1:]
+    got = {ln.split(",")[0]: [float(v) for v in ln.split(",")[1:]] for ln in lines}
+    assert set(got) == set(rows)
+    for method, want in rows.items():
+        np.testing.assert_allclose(got[method], want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

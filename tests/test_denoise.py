@@ -286,8 +286,6 @@ def test_run_trials_deterministic(sys_1d_rough_q4, op_1d_rough_q4):
     b = gb.run_trials(sys_1d_rough_q4, op_1d_rough_q4, cfg, 4, seed=42)
     assert a.stats == b.stats
     assert a.tuned_t0 == b.tuned_t0
-    c = gb.run_trials(sys_1d_rough_q4, op_1d_rough_q4, cfg, 4, seed=42, threads=2)
-    assert a.stats == c.stats
 
 
 def test_run_trials_zero_noise_recovers_exactly(sys_1d_rough_q4, op_1d_rough_q4):
@@ -313,7 +311,19 @@ def test_run_trials_records_realization(sys_1d_rough_q4, op_1d_rough_q4):
     assert set(first) >= {"f", "u", "eta", "recoveries"}
     assert first["u"].shape == (16,)
     assert set(first["recoveries"]) == set(stats.methods)
-    assert stats.level_histogram == {stats.level: 2}
+    assert stats.n_trials == 2
+    assert first["level"] == stats.level == gb.select_level(make_cfg())
+
+
+def test_run_trials_warns_when_level_filter_is_zero(sys_1d_rough_q6, op_1d_rough_q6):
+    # the config test_energy_growth_needs_a_level rejects: sigma = 0.9 selects l = 0
+    cfg = make_cfg(q=6, sigma=0.9)
+    with pytest.warns(UserWarning, match="level filter returns the zero vector"):
+        stats = gb.run_trials(sys_1d_rough_q6, op_1d_rough_q6, cfg, 3, seed=0)
+    assert stats.level == 0
+    first = stats.first_realization
+    assert not first["recoveries"]["level-filter"].any()
+    assert stats.stats["level-filter"].energy_avg > 0.0
 
 
 def test_run_trials_rejects_unknown_method(sys_1d_rough_q4, op_1d_rough_q4):
