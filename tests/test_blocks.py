@@ -44,7 +44,7 @@ block_cases = given(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @block_cases
 def test_transform_and_norms_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, seed, noise, t0):
     sys, op = sys_1d_rough_q4, op_1d_rough_q4
@@ -69,7 +69,7 @@ def test_transform_and_norms_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q
         close(norms[j], gb.energy_norm(op, y[:, j]))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @block_cases
 def test_estimators_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, seed, noise, t0):
     sys, op = sys_1d_rough_q4, op_1d_rough_q4
