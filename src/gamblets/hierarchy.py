@@ -7,6 +7,11 @@ into dyadic boxes. Measurement functions are normalized indicators
 (cells) or normalized sums (points); both give pi pi^T = I and
 W-rows spanning ker(pi) parent-locally.
 
+The nested partition fixes pi and W, so a hierarchy is stored as its
+recipe (Hierarchy.to_json: kind, dim, requested q and, for points, the
+input coordinates) and hierarchy_from_json rebuilds it with the same
+builder, bit for bit.
+
 Conventions used everywhere downstream:
   - level k runs 1..q; pi[k-1] is pi^(k,k+1), w[k-2] is W^(k);
   - 2D labels are flattened x-major: flat = ix * n + iy;
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPointSet, TooLarge, UnsupportedDim
+from .errors import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
 from .numerics import DENSE_CAP
 
 log = logging.getLogger("gamblets")
@@ -34,16 +39,14 @@ _SQ2 = np.sqrt(2.0)
 class Hierarchy:
     dim: int
     q: int
-    h: float
     kind: str  # "dyadic" | "points"
     sizes: list[int]  # |I^(k)|, k = 1..q
     pi: list[np.ndarray]  # pi^(k,k+1), k = 1..q-1
     w: list[np.ndarray]  # W^(k), k = 2..q
-    cell_volumes: list[np.ndarray]  # measure of each cell per level (point counts for kind="points")
-    cell_centers: list[np.ndarray]  # (|I^(k)|, dim) box centers per level
     points_per_box_range: list[tuple[int, int]] | None = None  # diagnostics, kind="points" only
     merged_levels: tuple[int, ...] = field(default=())  # original level indices dropped as degenerate
     point_fine_label: np.ndarray | None = None  # kind="points": fine-level label index of each input point
+    coords: np.ndarray | None = None  # kind="points": the (n, dim) input points
 
     @property
     def n_fine(self) -> int:
@@ -75,20 +78,14 @@ class Hierarchy:
         return out
 
     def to_json(self) -> str:
-        doc = {
-            "dim": self.dim,
-            "q": self.q,
-            "h": self.h,
-            "kind": self.kind,
-            "sizes": self.sizes,
-            "pi": [m.tolist() for m in self.pi],
-            "w": [m.tolist() for m in self.w],
-            "cell_volumes": [v.tolist() for v in self.cell_volumes],
-            "cell_centers": [c.tolist() for c in self.cell_centers],
-            "points_per_box_range": self.points_per_box_range,
-            "merged_levels": list(self.merged_levels),
-            "point_fine_label": None if self.point_fine_label is None else self.point_fine_label.tolist(),
-        }
+        """The recipe: kind, dim, the requested q and, for points, the input coordinates.
+
+        The requested q counts the merged levels too, so that a rebuild
+        merges them again rather than twice. JSON floats round-trip exactly.
+        """
+        doc = {"kind": self.kind, "dim": self.dim, "q": self.q + len(self.merged_levels)}
+        if self.coords is not None:
+            doc["coords"] = self.coords.tolist()
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def sha256(self) -> str:
@@ -96,23 +93,17 @@ class Hierarchy:
 
 
 def hierarchy_from_json(text: str) -> Hierarchy:
+    """Rebuild a hierarchy from its recipe; the builder's input checks run again."""
     doc = json.loads(text)
-    ppb = doc.get("points_per_box_range")
-    pfl = doc.get("point_fine_label")
-    return Hierarchy(
-        dim=doc["dim"],
-        q=doc["q"],
-        h=doc["h"],
-        kind=doc["kind"],
-        sizes=list(doc["sizes"]),
-        pi=[np.array(m, dtype=float) for m in doc["pi"]],
-        w=[np.array(m, dtype=float) for m in doc["w"]],
-        cell_volumes=[np.array(v, dtype=float) for v in doc["cell_volumes"]],
-        cell_centers=[np.array(c, dtype=float).reshape(-1, doc["dim"]) for c in doc["cell_centers"]],
-        points_per_box_range=None if ppb is None else [tuple(t) for t in ppb],
-        merged_levels=tuple(doc.get("merged_levels", ())),
-        point_fine_label=None if pfl is None else np.array(pfl, dtype=int),
-    )
+    need = ("kind", "dim", "q") + (("coords",) if doc.get("kind") == "points" else ())
+    missing = [key for key in need if key not in doc]
+    if missing:
+        raise BadConfig(f"hierarchy recipe is missing field '{missing[0]}'")
+    if doc["kind"] == "dyadic":
+        return build_dyadic(doc["dim"], doc["q"])
+    if doc["kind"] == "points":
+        return build_from_points(np.array(doc["coords"], dtype=float), doc["q"])
+    raise BadConfig(f"hierarchy recipe has unknown kind {doc['kind']!r}")
 
 
 def _dyadic_w_1d(k: int) -> np.ndarray:
@@ -166,17 +157,8 @@ def build_dyadic(dim: int, q: int) -> Hierarchy:
         raise TooLarge(f"fine level would have {2 ** (q * dim)} cells (cap {DENSE_CAP})")
 
     sizes = [2 ** (k * dim) for k in range(1, q + 1)]
-    volumes = [np.full(sizes[k - 1], 0.5 ** (k * dim)) for k in range(1, q + 1)]
-    centers = []
     pis = []
     ws = []
-    for k in range(1, q + 1):
-        n = 2 ** k
-        if dim == 1:
-            centers.append(((np.arange(n) + 0.5) / n).reshape(-1, 1))
-        else:
-            ix, iy = np.divmod(np.arange(n * n), n)
-            centers.append(np.column_stack(((ix + 0.5) / n, (iy + 0.5) / n)))
     for k in range(1, q):
         n_par = 2 ** k
         n_child = 2 ** (k + 1)
@@ -196,10 +178,7 @@ def build_dyadic(dim: int, q: int) -> Hierarchy:
     for k in range(2, q + 1):
         ws.append(_dyadic_w_1d(k) if dim == 1 else _dyadic_w_2d(k))
 
-    return Hierarchy(
-        dim=dim, q=q, h=0.5, kind="dyadic", sizes=sizes, pi=pis, w=ws,
-        cell_volumes=volumes, cell_centers=centers,
-    )
+    return Hierarchy(dim=dim, q=q, kind="dyadic", sizes=sizes, pi=pis, w=ws)
 
 
 def _bin_labels(coords: np.ndarray, k: int) -> np.ndarray:
@@ -246,6 +225,8 @@ def build_from_points(coords: np.ndarray, q: int) -> Hierarchy:
         raise UnsupportedDim(f"points must be (n,1) or (n,2), got shape {coords.shape}")
     if coords.shape[0] > DENSE_CAP:
         raise TooLarge(f"{coords.shape[0]} points exceeds cap {DENSE_CAP}")
+    if not np.isfinite(coords).all():
+        raise BadConfig("point coordinates must be finite (no NaN or inf)")
     if coords.min() < 0.0 or coords.max() > 1.0:
         raise EmptyPointSet("coordinates must lie in the unit box; normalize first")
     if q < 1:
@@ -298,32 +279,15 @@ def build_from_points(coords: np.ndarray, q: int) -> Hierarchy:
                 w_rows.append(row)
         ws.append(np.array(w_rows).reshape(len(w_rows), n_child))
 
-    centers = []
-    volumes = []
-    ppb = []
-    for lev in levels:
-        n = 2 ** lev["k"]
-        flat = lev["flat"]
-        if dim == 1:
-            c = ((flat + 0.5) / n).reshape(-1, 1)
-        else:
-            bx, by = np.divmod(flat, n)
-            c = np.column_stack(((bx + 0.5) / n, (by + 0.5) / n))
-        centers.append(c)
-        volumes.append(lev["counts"].astype(float))
-        ppb.append((int(lev["counts"].min()), int(lev["counts"].max())))
-
     return Hierarchy(
         dim=dim,
         q=len(levels),
-        h=0.5,
         kind="points",
         sizes=[len(lev["flat"]) for lev in levels],
         pi=pis,
         w=ws,
-        cell_volumes=volumes,
-        cell_centers=centers,
-        points_per_box_range=ppb,
+        points_per_box_range=[(int(lev["counts"].min()), int(lev["counts"].max())) for lev in levels],
         merged_levels=tuple(merged),
         point_fine_label=levels[-1]["point_box"].copy(),
+        coords=coords.copy(),
     )

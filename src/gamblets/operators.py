@@ -97,8 +97,8 @@ def coeff_from_cells(values: np.ndarray, dim: int) -> CoefficientField:
     values[ix, iy] on the cell at grid position (ix, iy).
     """
     values = np.asarray(values, dtype=float)
-    if values.min() <= 0.0:
-        raise BadConfig("coefficient cell values must be positive")
+    if not np.isfinite(values).all() or values.min() <= 0.0:
+        raise BadConfig("coefficient cell values must be positive and finite")
     if dim == 1:
         n = values.shape[0]
 
@@ -262,6 +262,8 @@ def make_graph(coords: np.ndarray, edges, ground: int = 0) -> GeometricGraph:
         raise EmptyGrid("graph has no vertices")
     if coords.shape[1] != 2:
         raise UnsupportedDim("graph vertices need (x, y) coordinates")
+    if not np.isfinite(coords).all():
+        raise BadConfig("graph vertex coordinates must be finite (no NaN or inf)")
     if len(edges) and (edges.min() < 0 or edges.max() >= n):
         raise BadConfig(f"edge endpoint out of range 0..{n - 1}")
     if np.any(edges[:, 0] == edges[:, 1]):

@@ -14,6 +14,10 @@ multilevel solver, and z_matrix() assembles the noise covariance
 scaling of the dual wavelets. Each diagonal (per-level) block of Z has
 lambda_min >= 1; the full Z can fall below 1 through its cross-level
 blocks.
+
+save_system()/load_system() store a system as one .npy file per
+A/B/R/N matrix, the hierarchy's recipe (not its pi and W, which the
+hierarchy builders recompute on load) and a manifest of sha256 digests.
 """
 
 from __future__ import annotations
@@ -155,9 +159,10 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     for k in range(q, 1, -1):
         W = hier.w_of(k)
         pi = hier.pi_of(k - 1)
-        B = symmetrize(W @ Ak @ W.T)
+        WA = W @ Ak
+        B = symmetrize(WA @ W.T)
         fB = cholesky(B)
-        Nk = solve_spd(fB, W @ Ak).T  # A^(k) W^T B^(k),-1
+        Nk = solve_spd(fB, WA).T  # A^(k) W^T B^(k),-1
         R = pi - (pi @ Nk) @ W
         R = _truncate(R, trunc)
         A_next = _truncate(symmetrize(R @ Ak @ R.T), trunc)
@@ -182,6 +187,8 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
 
 def validate_system(sys: GambletSystem, tol: float = CONSTRUCTION_TOL) -> None:
     """Assert the construction identities of an exact (trunc = 0) system."""
+    if sys.trunc != 0.0:
+        raise BadConfig("validate_system needs an exact (trunc = 0) system")
     hier = sys.hier
     for k in range(2, sys.q + 1):
         W = hier.w_of(k)
@@ -227,8 +234,9 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
         W = hier.w_of(k)
         pi = hier.pi_of(k - 1)
         Ak = a_levels[k - 1]
-        B = symmetrize(W @ Ak @ W.T)
-        Nk = solve_spd(cholesky(B), W @ Ak).T
+        WA = W @ Ak
+        B = symmetrize(WA @ W.T)
+        Nk = solve_spd(cholesky(B), WA).T
         b_levels[k - 1] = B
         n_levels[k - 2] = Nk
         r_levels[k - 2] = pi - (pi @ Nk) @ W
@@ -354,10 +362,12 @@ def z_matrix(sys: GambletSystem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a directory of .npy matrices, the hierarchy as JSON and a
-# JSON manifest holding the sha256 of every file.
+# Persistence: a directory of .npy matrices, the hierarchy's recipe as JSON
+# and a JSON manifest holding the sha256 of every file.
 
 MANIFEST_NAME = "manifest.json"
+FORMAT = "gamblet-system-2"
+_MANIFEST_FIELDS = ("format", "q", "dim", "trunc", "sizes", "j_sizes", "hierarchy_sha256", "sha256", "files")
 
 
 def _file_sha256(path) -> str:
@@ -384,8 +394,9 @@ def save_system(sys: GambletSystem, dirpath) -> None:
 
     Matrices are written losslessly by np.save (no pickling), whose
     header is deterministic, so two saves of one system are
-    byte-identical. The manifest records the sha256 of every file; the
-    hierarchy is serialized once and its digest equals Hierarchy.sha256().
+    byte-identical. hierarchy.json holds the hierarchy's recipe, whose
+    digest equals Hierarchy.sha256(). The manifest records the sha256
+    of every file.
     """
     os.makedirs(dirpath, exist_ok=True)
     files: dict[str, str] = {"hierarchy": "hierarchy.json"}
@@ -396,7 +407,7 @@ def save_system(sys: GambletSystem, dirpath) -> None:
         np.save(os.path.join(dirpath, files[name]), m, allow_pickle=False)
     digests = {name: _file_sha256(os.path.join(dirpath, f)) for name, f in files.items()}
     manifest = {
-        "format": "gamblet-system",
+        "format": FORMAT,
         "q": sys.q,
         "dim": sys.hier.dim,
         "trunc": sys.trunc,
@@ -420,19 +431,15 @@ def read_manifest(dirpath) -> dict:
         raise BadConfig(f"no manifest at {path}") from None
     except json.JSONDecodeError as exc:
         raise BadConfig(f"manifest {path} is not valid JSON: {exc}") from None
-    for key in ("format", "q", "dim", "trunc", "sizes", "j_sizes", "hierarchy_sha256", "files"):
-        if key not in manifest:
-            raise BadConfig(f"manifest {path} is missing field '{key}'")
-    if manifest["format"] != "gamblet-system":
-        raise BadConfig(f"manifest field 'format' has unexpected value {manifest['format']!r}")
-    csv = sorted(f for f in manifest["files"].values() if str(f).endswith(".csv"))
-    if csv:
+    # Older stores (format "gamblet-system": dense hierarchy JSON, or CSV
+    # matrices without digests) all land here.
+    missing = [key for key in _MANIFEST_FIELDS if key not in manifest]
+    if missing or manifest["format"] != FORMAT:
+        what = f"is missing field '{missing[0]}'" if missing else f"has format {manifest['format']!r}"
         raise BadConfig(
-            f"manifest {path} lists CSV matrices ({csv[0]}, ...), a store format that is no "
-            "longer read; re-save the system (rerun the command that wrote it)"
+            f"manifest {path} {what}, not a {FORMAT} store; re-save the system "
+            "(remove it and rerun the command that wrote it)"
         )
-    if "sha256" not in manifest:
-        raise BadConfig(f"manifest {path} is missing field 'sha256'")
     return manifest
 
 

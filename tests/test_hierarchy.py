@@ -2,12 +2,16 @@
 
 import logging
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gamblets as gb
-from gamblets import EmptyPointSet, TooLarge, UnsupportedDim
+from gamblets import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
 
 S = 1 / np.sqrt(2)
 
@@ -45,13 +49,6 @@ def test_pi_prod_composes():
     h = gb.build_dyadic(1, 4)
     assert_allclose(h.pi_prod(1, 4), h.pi_of(1) @ h.pi_of(2) @ h.pi_of(3), atol=1e-14)
     assert_allclose(h.pi_prod(3, 3), np.eye(h.sizes[2]), atol=0)
-
-
-def test_cell_geometry_1d():
-    h = gb.build_dyadic(1, 3)
-    assert_allclose(h.cell_centers[2][:, 0], (np.arange(8) + 0.5) / 8)
-    assert_allclose(h.cell_volumes[2], np.full(8, 1 / 8))
-    assert h.h == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +110,12 @@ def test_points_rejects_empty_and_oversized():
         gb.build_from_points(np.array([[1.5, 0.5]]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_points_rejects_non_finite(bad):
+    with pytest.raises(BadConfig, match="finite"):
+        gb.build_from_points(np.array([[0.5, 0.5], [bad, 0.25]]), 2)
+
+
 def test_rejects_unsupported_dimension():
     with pytest.raises(UnsupportedDim):
         gb.build_dyadic(3, 2)
@@ -127,3 +130,62 @@ def test_json_round_trip(hier_1d_q4):
     for k in range(1, back.q):
         assert_allclose(back.pi_of(k), hier_1d_q4.pi_of(k), atol=0)
     assert back.sha256() == hier_1d_q4.sha256()
+
+
+# ---------------------------------------------------------------------------
+# The stored recipe.
+
+def assert_same_hierarchy(back, h):
+    """Every field the builders derive, compared bit for bit."""
+    assert (back.kind, back.dim, back.q) == (h.kind, h.dim, h.q)
+    assert back.sizes == h.sizes
+    assert back.merged_levels == h.merged_levels
+    assert back.points_per_box_range == h.points_per_box_range
+    for got, want in zip(back.pi + back.w, h.pi + h.w, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if h.kind == "points":
+        assert np.array_equal(back.point_fine_label, h.point_fine_label)
+        assert back.coords.tobytes() == h.coords.tobytes()
+    assert back.to_json() == h.to_json()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 2), q=st.integers(1, 4))
+def test_dyadic_recipe_rebuilds_bit_for_bit(dim, q):
+    h = gb.build_dyadic(dim, q)
+    assert_same_hierarchy(gb.hierarchy_from_json(h.to_json()), h)
+
+
+# Coordinates on the quarter grid repeat boxes across levels, so those
+# sets merge degenerate levels; arbitrary floats exercise the exact JSON
+# round trip of the coordinates.
+_coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 2), n=st.integers(1, 40), q=st.integers(1, 5))
+def test_points_recipe_rebuilds_bit_for_bit(data, dim, n, q):
+    pts = np.array(data.draw(st.lists(_coordinate, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    h = gb.build_from_points(pts, q)
+    assert h.q + len(h.merged_levels) == q
+    assert_same_hierarchy(gb.hierarchy_from_json(h.to_json()), h)
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ({"kind": "dyadic", "dim": 1}, "'q'"),
+        ({"kind": "points", "dim": 1, "q": 2}, "'coords'"),
+        ({"kind": "cells", "dim": 1, "q": 2}, "unknown kind"),
+    ],
+)
+def test_recipe_rejects_malformed(doc, match):
+    with pytest.raises(BadConfig, match=match):
+        gb.hierarchy_from_json(json.dumps(doc))
+
+
+def test_recipe_load_reruns_builder_checks():
+    doc = {"kind": "points", "dim": 2, "q": 2, "coords": [[0.5, 1.5]]}
+    with pytest.raises(EmptyPointSet, match="unit box"):
+        gb.hierarchy_from_json(json.dumps(doc))

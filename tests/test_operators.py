@@ -43,6 +43,13 @@ def test_coeff_from_cells_piecewise_constant():
     assert_allclose(field(np.array([0.1, 0.3, 0.6, 0.9])), [1, 2, 3, 4])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coeff_from_cells_rejects_non_finite(bad):
+    # NaN passes a bare min() <= 0 check and inf is positive
+    with pytest.raises(BadConfig, match="finite"):
+        gb.coeff_from_cells(np.array([1.0, bad, 3.0, 4.0]), 1)
+
+
 # ---------------------------------------------------------------------------
 # FEM assembly.
 
@@ -121,6 +128,16 @@ def test_make_graph_rejects_bad_ground_and_edges():
         gb.make_graph(coords, np.array([[0, 1]]), ground=5)
     with pytest.raises(BadConfig):
         gb.make_graph(coords, np.array([[0, 2]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_graph_rejects_non_finite_coordinates(bad):
+    coords = np.array([[0.0, 0.0], [bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(BadConfig, match="finite"):
+        gb.make_graph(coords, np.array([[0, 1], [1, 2]]))
+    # a graph file reaches the same check through parse_graph
+    with pytest.raises(BadConfig, match="finite"):
+        gb.parse_graph(f"3 2\n0 0 0\n1 {bad} 1\n2 1 0\n0 1\n1 2\n")
 
 
 def test_disconnected_graph_rejected():

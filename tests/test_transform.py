@@ -65,6 +65,12 @@ def test_validate_system_catches_tampering(op_1d_rough_q4, hier_1d_q4):
         gb.validate_system(sys)
 
 
+def test_validate_system_refuses_truncated(op_1d_rough_q4, hier_1d_q4):
+    sys = gb.transform(op_1d_rough_q4, hier_1d_q4, trunc=1e-3)
+    with pytest.raises(BadConfig, match="trunc = 0"):
+        gb.validate_system(sys)
+
+
 def test_transform_accepts_raw_matrix(hier_1d_q4, op_1d_rough_q4):
     direct = gb.transform(op_1d_rough_q4.A, hier_1d_q4)
     via_op = gb.transform(op_1d_rough_q4, hier_1d_q4)
@@ -272,6 +278,45 @@ def test_load_rejects_csv_store(sys_1d_rough_q4, tmp_path):
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(BadConfig, match="re-save"):
         gb.load_system(d)
+
+
+def test_load_rejects_older_store_format(sys_1d_rough_q4, tmp_path):
+    # every file still matches its digest; only the format name is old
+    d = tmp_path / "system"
+    gb.save_system(sys_1d_rough_q4, d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format"] = "gamblet-system"
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BadConfig, match="re-save"):
+        gb.load_system(d)
+
+
+def test_hierarchy_is_stored_as_its_recipe(sys_1d_rough_q4, tmp_path):
+    d = tmp_path / "system"
+    gb.save_system(sys_1d_rough_q4, d)
+    assert json.loads((d / "hierarchy.json").read_text()) == {"dim": 1, "kind": "dyadic", "q": 4}
+    back = gb.load_system(d)
+    for got, want in zip(back.hier.pi + back.hier.w, sys_1d_rough_q4.hier.pi + sys_1d_rough_q4.hier.w):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_graph_system_save_load_round_trip(tmp_path):
+    out = gb.denoise_graph(gb.synthetic_grid(8), q=3, sigma_rms=0.01, trials=3, seed=1)
+    d = tmp_path / "system"
+    gb.save_system(out.system, d)
+    back = gb.load_system(d)
+    hier, want = back.hier, out.system.hier
+    assert hier.kind == "points" and hier.sizes == want.sizes
+    assert np.array_equal(hier.point_fine_label, want.point_fine_label)
+    for got, ref in zip(hier.pi + hier.w, want.pi + want.w, strict=True):
+        assert got.tobytes() == ref.tobytes()
+    def matrices(sys):
+        return sys.a_levels + sys.b_levels + sys.r_levels + sys.n_levels
+
+    for got, ref in zip(matrices(back), matrices(out.system), strict=True):
+        assert got.tobytes() == ref.tobytes()
+    y = np.arange(float(back.n_fine))
+    assert_allclose(gb.reconstruct(back, gb.analyze(back, y)), y, atol=1e-10)
 
 
 def test_read_manifest_rejects_bad_json(tmp_path):
