@@ -7,6 +7,9 @@ Subcommands:
   built from the same configuration).
 * ``denoise`` runs the estimator comparison on a PDE problem.
 * ``graph`` runs the graph pipeline on a file or synthetic grid graph.
+  Both write system/, results.csv, realization0.csv and manifest.json
+  through one writer; each passes its geometry columns and its extra
+  manifest fields.
 * ``selftest`` exercises the core identities on small problems.
 
 Options come from an optional ``key = value`` config file plus flags;
@@ -70,6 +73,9 @@ class ExperimentConfig:
     sigma_rms: float | None = None
 
     def __post_init__(self):
+        dn._require_finite(
+            sigma=self.sigma, bound=self.bound, trunc=self.trunc, t0=self.t0, sigma_rms=self.sigma_rms
+        )
         if self.problem not in PROBLEMS:
             raise BadConfig(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.q < 1:
@@ -240,6 +246,45 @@ def _print_stats(stats: dn.TrialStats) -> None:
     )
 
 
+def _write_run(
+    cfg: ExperimentConfig, command: str, system, stats: dn.TrialStats,
+    geometry: dict[str, np.ndarray], extra: dict,
+) -> None:
+    """Write a run's system/, results.csv, realization0.csv and manifest.json.
+
+    realization0.csv holds the geometry columns, then the first trial's
+    f, u, eta and its level-filter recovery (the first method's when the
+    level filter did not run) with that recovery's error. The manifest
+    holds the config, `extra`, the output names and the statistics.
+    """
+    os.makedirs(cfg.out, exist_ok=True)
+    save_system(system, os.path.join(cfg.out, "system"))
+    _write_results_csv(os.path.join(cfg.out, "results.csv"), stats)
+    real = stats.first_realization
+    rec = real["recoveries"].get("level-filter")
+    if rec is None:
+        rec = real["recoveries"][stats.methods[0]]
+    columns = dict(geometry)
+    columns.update(
+        f=real["f"], u=real["u"], eta=real["eta"], recovery=rec, error=rec - real["u"]
+    )
+    _write_realization_csv(os.path.join(cfg.out, "realization0.csv"), columns)
+    _write_json(
+        os.path.join(cfg.out, "manifest.json"),
+        {
+            "command": command,
+            "config": cfg.as_record(),
+            **extra,
+            "results": "results.csv",
+            "realization": "realization0.csv",
+            "system": "system",
+            **_stats_record(stats),
+        },
+    )
+    _print_stats(stats)
+    print(f"written to {cfg.out}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -292,10 +337,9 @@ def cmd_denoise(cfg: ExperimentConfig) -> int:
     if cfg.problem == "graph":
         raise BadConfig("use the graph subcommand for graph problems")
     field, hier, op = _build_pde(cfg)
-    dim = hier.dim
     sys = transform(op, hier, trunc=cfg.trunc)
     dcfg = dn.DenoiseConfig(
-        d=dim,
+        d=hier.dim,
         q=cfg.q,
         sigma=cfg.sigma,
         bound=cfg.bound,
@@ -307,37 +351,12 @@ def cmd_denoise(cfg: ExperimentConfig) -> int:
         sys, op, dcfg, cfg.trials, cfg.seed,
         methods=cfg.method_list(),
     )
-    os.makedirs(cfg.out, exist_ok=True)
-    save_system(sys, os.path.join(cfg.out, "system"))
-    _write_results_csv(os.path.join(cfg.out, "results.csv"), stats)
-    real = stats.first_realization
-    rec = real["recoveries"].get("level-filter")
-    if rec is None:
-        rec = real["recoveries"][stats.methods[0]]
     coords = op.node_coords
-    columns: dict[str, np.ndarray] = {"x": coords[:, 0]}
-    if dim == 2:
-        columns["y"] = coords[:, 1]
-        columns["a"] = field(coords[:, 0], coords[:, 1])
-    else:
-        columns["a"] = field(coords[:, 0])
-    columns.update(
-        f=real["f"], u=real["u"], eta=real["eta"], recovery=rec, error=rec - real["u"]
-    )
-    _write_realization_csv(os.path.join(cfg.out, "realization0.csv"), columns)
-    _write_json(
-        os.path.join(cfg.out, "manifest.json"),
-        {
-            "command": "denoise",
-            "config": cfg.as_record(),
-            "results": "results.csv",
-            "realization": "realization0.csv",
-            "system": "system",
-            **_stats_record(stats),
-        },
-    )
-    _print_stats(stats)
-    print(f"written to {cfg.out}")
+    geometry = {"x": coords[:, 0]}
+    if hier.dim == 2:
+        geometry["y"] = coords[:, 1]
+    geometry["a"] = field(*coords.T)
+    _write_run(cfg, "denoise", sys, stats, geometry, {})
     return 0
 
 
@@ -358,44 +377,18 @@ def cmd_graph(cfg: ExperimentConfig) -> int:
         trials=cfg.trials,
         sigma_rms=cfg.sigma_rms,
     )
-    stats = out.stats
-    os.makedirs(cfg.out, exist_ok=True)
-    save_system(out.system, os.path.join(cfg.out, "system"))
-    _write_results_csv(os.path.join(cfg.out, "results.csv"), stats)
-    real = stats.first_realization
-    rec = real["recoveries"]["level-filter"]
-    columns = {
-        "x": out.coords[:, 0],
-        "y": out.coords[:, 1],
-        "f": real["f"],
-        "u": real["u"],
-        "eta": real["eta"],
-        "recovery": rec,
-        "error": rec - real["u"],
-    }
-    _write_realization_csv(os.path.join(cfg.out, "realization0.csv"), columns)
     est = out.estimate
-    _write_json(
-        os.path.join(cfg.out, "manifest.json"),
-        {
-            "command": "graph",
-            "config": cfg.as_record(),
-            "H": est.H,
-            "d_eff": est.d_eff,
-            "h_from_min": est.h_from_min,
-            "lambda_max": est.lambda_max,
-            "lambda_min": est.lambda_min,
-            "sigma": out.sigma,
-            "bound": out.bound,
-            "results": "results.csv",
-            "realization": "realization0.csv",
-            "system": "system",
-            **_stats_record(stats),
-        },
-    )
     print(f"H = {est.H:.4f}, d_eff = {est.d_eff:.4f}")
-    _print_stats(stats)
-    print(f"written to {cfg.out}")
+    extra = {
+        "H": est.H,
+        "d_eff": est.d_eff,
+        "h_from_min": est.h_from_min,
+        "lambda_max": est.lambda_max,
+        "lambda_min": est.lambda_min,
+        "sigma": out.sigma,
+        "bound": out.bound,
+    }
+    _write_run(cfg, "graph", out.system, out.stats, {"x": out.coords[:, 0], "y": out.coords[:, 1]}, extra)
     return 0
 
 

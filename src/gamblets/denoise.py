@@ -16,11 +16,16 @@ column, and treats it in one pass: the level filter and thresholding
 are linear or entry-wise in the wavelet coefficients, and
 regularization solves all columns in one eigenbasis of A.
 
+gen_signal draws a source and solves for its signal; given a sequence
+of generators it draws one column per generator and solves the block
+at once. It is the only place that draws f or solves A u = O f.
+
 run_trials evaluates all methods on identical signal/noise draws and
 aggregates error statistics. It is the PDE front end of the one trial
-engine, which draws every trial up front and runs each method once on
-the whole block; the graph pipeline (graphdenoise.denoise_graph) feeds
-the same engine. energy_growth_check measures how much energy the
+engine, which draws every trial up front through gen_signal, analyzes
+the noisy block once and derives the level filter and both shrinkers
+from those coefficients; the graph pipeline (graphdenoise.denoise_graph)
+feeds the same engine. energy_growth_check measures how much energy the
 level filter picks up from the noise on the same draws.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +47,7 @@ from .errors import (
     NoBracketWarning,
 )
 from .numerics import CholFactor, chi_square_quantile, cholesky, solve_spd, symmetrize
-from .operators import measurement_overlap
+from .operators import _G3_W, _G3_X, measurement_overlap
 from .transform import (
     GambletSystem,
     MultiresCoefficients,
@@ -56,8 +62,12 @@ log = logging.getLogger("gamblets")
 METHODS = ("level-filter", "hard-threshold", "soft-threshold", "regularization")
 SIGNAL_MODES = ("random-sphere", "smooth-1d", "smooth-2d")
 
-_G3_X = (np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)]) + 1.0) / 2.0
-_G3_W = np.array([5.0, 8.0, 5.0]) / 18.0
+
+def _require_finite(**values) -> None:
+    """Raise BadConfig naming the first value with a NaN or inf entry (None is skipped)."""
+    for name, v in values.items():
+        if v is not None and not np.all(np.isfinite(v)):
+            raise BadConfig(f"{name} must be finite (no NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,9 @@ class DenoiseConfig:
     confidence: float = 0.95
     t0: float | None = None
     signal: str = "random-sphere"
-    method: str | None = None
 
     def __post_init__(self):
+        _require_finite(d=self.d, sigma=self.sigma, bound=self.bound, s=self.s, t0=self.t0)
         if self.q < 1:
             raise BadConfig(f"q must be >= 1, got {self.q}")
         if self.sigma < 0:
@@ -100,8 +110,6 @@ class DenoiseConfig:
             raise BadConfig(f"t0 must be >= 0, got {self.t0}")
         if self.signal not in SIGNAL_MODES:
             raise BadConfig(f"unknown signal mode {self.signal!r}; options: {SIGNAL_MODES}")
-        if self.method is not None and self.method not in METHODS:
-            raise BadConfig(f"unknown method {self.method!r}; options: {METHODS}")
 
 
 @dataclass
@@ -174,11 +182,13 @@ def select_level(cfg: DenoiseConfig) -> int:
 # one per column, and works on the whole block at once; a vector is the
 # T = 1 case of the same code.
 
-def _result_from_coeffs(sys: GambletSystem, coeffs: list[np.ndarray], level=None) -> DenoiseResult:
-    energies = coefficient_energies(sys, MultiresCoefficients(coeffs))
-    v = reconstruct(sys, MultiresCoefficients(coeffs))
+def _result(sys: GambletSystem, c: MultiresCoefficients, level: int | None = None) -> DenoiseResult:
+    """Recovery and per-level energies of c, keeping levels 1..level (all if None)."""
+    upto = sys.q if level is None else level
+    energies = coefficient_energies(sys, c)
+    energies[upto:] = 0.0
     return DenoiseResult(
-        recovered=v, level=level, level_energies=energies,
+        recovered=reconstruct(sys, c, upto=upto), level=level, level_energies=energies,
         energy=np.sqrt(np.maximum(energies.sum(axis=0), 0.0)),
     )
 
@@ -187,9 +197,7 @@ def level_filter(sys: GambletSystem, y: np.ndarray, l: int) -> DenoiseResult:
     """Keep wavelet levels 1..l of y and drop the rest; l = 0 gives zero."""
     if not (0 <= l <= sys.q):
         raise BadLevel(f"level must lie in 0..{sys.q}, got {l}")
-    c = analyze(sys, y)
-    kept = [ck.copy() if k < l else np.zeros_like(ck) for k, ck in enumerate(c.levels)]
-    return _result_from_coeffs(sys, kept, level=l)
+    return _result(sys, analyze(sys, y), level=l)
 
 
 def threshold_schedule(cfg: DenoiseConfig, t0: float) -> np.ndarray:
@@ -197,12 +205,11 @@ def threshold_schedule(cfg: DenoiseConfig, t0: float) -> np.ndarray:
     return t0 * cfg.h ** (-2 * cfg.s * np.arange(1, cfg.q + 1))
 
 
-def _shrink(sys: GambletSystem, y, ts: np.ndarray, rule) -> DenoiseResult:
-    """Apply `rule` to every level k of y's coefficients with threshold ts[k]."""
+def _shrink(c: MultiresCoefficients, ts: np.ndarray, rule) -> MultiresCoefficients:
+    """Apply `rule` to every level k of the coefficients c with threshold ts[k]."""
     if np.any(ts < 0):
         raise BadConfig(f"thresholds must be >= 0, got {ts}")
-    c = analyze(sys, y)
-    return _result_from_coeffs(sys, [rule(ck, ts[k]) for k, ck in enumerate(c.levels)])
+    return MultiresCoefficients([rule(ck, ts[k]) for k, ck in enumerate(c.levels)])
 
 
 def _hard(x: np.ndarray, t) -> np.ndarray:
@@ -218,12 +225,12 @@ _RULES = {"hard-threshold": _hard, "soft-threshold": _soft}
 
 def hard_threshold(sys: GambletSystem, y: np.ndarray, t0: float, cfg: DenoiseConfig) -> DenoiseResult:
     """Zero every wavelet coefficient with magnitude at most its level threshold."""
-    return _shrink(sys, y, threshold_schedule(cfg, t0), _hard)
+    return _result(sys, _shrink(analyze(sys, y), threshold_schedule(cfg, t0), _hard))
 
 
 def soft_threshold(sys: GambletSystem, y: np.ndarray, t0: float, cfg: DenoiseConfig) -> DenoiseResult:
     """Shrink every wavelet coefficient toward zero by its level threshold."""
-    return _shrink(sys, y, threshold_schedule(cfg, t0), _soft)
+    return _result(sys, _shrink(analyze(sys, y), threshold_schedule(cfg, t0), _soft))
 
 
 def default_threshold_grid(cfg: DenoiseConfig, size: int = 16) -> np.ndarray:
@@ -434,7 +441,7 @@ def gen_signal(
     hier,
     op,
     mode: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     overlap: np.ndarray | None = None,
     factor: CholFactor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -445,14 +452,22 @@ def gen_signal(
     this is the unit sphere of the source space); the smooth modes
     project a fixed formula onto the fine cells by Gauss quadrature.
     Returns (f coefficients over the fine cells, solution vector u).
+
+    rng may also be a sequence of T generators: column k of the (N, T)
+    blocks (F, U) then has its f drawn from generator k, and the block
+    is solved at once, A U = O F.
     """
-    f = _source_coefficients(op, mode, rng)
+    if isinstance(rng, np.random.Generator):
+        f = _source_coefficients(op, mode, rng)
+    elif len(rng):
+        f = np.column_stack([_source_coefficients(op, mode, r) for r in rng])
+    else:
+        raise BadConfig("gen_signal needs a generator or a non-empty sequence of them")
     if overlap is None:
         overlap = measurement_overlap(hier, op)
     if factor is None:
         factor = cholesky(op.A)
-    u = solve_spd(factor, overlap @ f)
-    return f, u
+    return f, solve_spd(factor, overlap @ f)
 
 
 def add_noise(u: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -487,15 +502,10 @@ def _trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 
 
 def _pde_source(sys: GambletSystem, op, mode: str):
-    """Block source of run_trials: per-trial f draws, one solve A U = O F."""
+    """Block source of run_trials: gen_signal on the trials' generators, one factor of A."""
     overlap = measurement_overlap(sys.hier, op)
     factor = cholesky(op.A)
-
-    def source(rngs):
-        f = np.column_stack([_source_coefficients(op, mode, rng) for rng in rngs])
-        return f, solve_spd(factor, overlap @ f)
-
-    return source
+    return lambda rngs: gen_signal(sys.hier, op, mode, rngs, overlap, factor)
 
 
 def _draw_trials(source, sigma: float, seed: int, stream: int, count: int):
@@ -534,7 +544,9 @@ def _trial_engine(
     source(rngs) returns the (N, T) blocks (F, U) of the clean trials,
     drawing from each generator in turn; the engine adds the noise.
     Shrinkage thresholds are t0 * scale[k] on level k. Trials come from
-    the streams (seed, 0, k) and tuning pairs from (seed, 1, i).
+    the streams (seed, 0, k) and tuning pairs from (seed, 1, i). The
+    noisy block is analyzed once: the level filter reconstructs its
+    levels <= l-dagger and each shrinker its rule applied to them.
     """
     if n_trials < 1:
         raise BadConfig(f"n_trials must be >= 1, got {n_trials}")
@@ -564,13 +576,14 @@ def _trial_engine(
 
     f, u, eta = _draw_trials(source, cfg.sigma, seed, 0, n_trials)
     recs = {}
+    if "regularization" in methods:  # first: its eigensolve sets the peak memory, so hold no other block
+        recs["regularization"] = regularize(op, eta, cfg.sigma, cfg.confidence).recovered
+    c = analyze(sys, eta) if set(methods) - {"regularization"} else None
     for m in methods:
         if m == "level-filter":
-            recs[m] = level_filter(sys, eta, l_dag).recovered
-        elif m == "regularization":
-            recs[m] = regularize(op, eta, cfg.sigma, cfg.confidence).recovered
-        else:
-            recs[m] = _shrink(sys, eta, tuned[m] * scale, _RULES[m]).recovered
+            recs[m] = reconstruct(sys, c, upto=l_dag)
+        elif m in _RULES:
+            recs[m] = reconstruct(sys, _shrink(c, tuned[m] * scale, _RULES[m]))
 
     stats = {}
     for m in methods:
@@ -590,8 +603,7 @@ def _trial_engine(
             "f": f[:, 0].copy(),
             "u": u[:, 0].copy(),
             "eta": eta[:, 0].copy(),
-            "recoveries": {m: r[:, 0].copy() for m, r in recs.items()},
-            "level": l_dag,
+            "recoveries": {m: recs[m][:, 0].copy() for m in methods},
         },
     )
 
@@ -646,7 +658,7 @@ def energy_growth_check(
     if l_dag == 0:
         raise LevelZero("selected level is 0; the statistic needs at least one level")
     _, u, eta = _draw_trials(_pde_source(sys, op, cfg.signal), cfg.sigma, seed, 0, n_trials)
-    rec = level_filter(sys, np.hstack([eta, eta - u]), l_dag).recovered
+    rec = reconstruct(sys, analyze(sys, np.hstack([eta, eta - u])), upto=l_dag)
     samples = np.column_stack([
         energy_norm(op, rec[:, :n_trials]),
         energy_norm(op, u),

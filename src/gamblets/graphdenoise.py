@@ -9,7 +9,8 @@ of (h^s, d). denoise_graph is the end-to-end pipeline: ground, build a
 hierarchy from vertex coordinates, transform, fit the scales, then hand
 the fixed clean signal to the trial engine of denoise.py, which adds
 the noise and runs the level filter and a hard threshold that is the
-same on every level.
+same on every level. The first trial's recoveries come back in
+stats.first_realization, which is the one copy of them.
 
 Vertices are re-indexed internally to the hierarchy's fine-box order;
 everything returned to the caller is in the original vertex order.
@@ -23,10 +24,10 @@ import numpy as np
 
 from .denoise import (
     DenoiseConfig,
-    DenoiseResult,
     TrialStats,
+    _require_finite,
+    _smooth_2d,
     _trial_engine,
-    level_filter,
     select_level,
 )
 from .errors import BadConfig, GambletError, ShapeMismatch, TooFewLevels
@@ -103,17 +104,10 @@ def select_level_graph(est: GraphScaleEstimate, sigma: float, bound: float, q: i
     return select_level(_graph_config(est, sigma, bound, q))
 
 
-def _default_vertex_signal(coords: np.ndarray) -> np.ndarray:
-    x = coords[:, 0]
-    if coords.shape[1] == 1:
-        return np.pi * np.sinc(x)
-    y = coords[:, 1]
-    return np.cos(3 * x + y) + np.sin(3 * y) + np.sin(7 * x - 5 * y)
-
-
 @dataclass
 class GraphDenoiseOutput:
-    result: DenoiseResult
+    """denoise_graph's output; stats.first_realization is in vertex order."""
+
     stats: TrialStats
     estimate: GraphScaleEstimate
     level: int
@@ -139,15 +133,18 @@ def denoise_graph(
 
     The source f is a function of the normalized vertex coordinates
     (`signal` may be a callable taking the (n, dim) coordinate array, a
-    vector of per-vertex values, or None for a fixed trigonometric
-    default). u solves the grounded system L u = f, and each trial adds
-    i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
+    vector of per-vertex values, or None for the smooth-2d formula of
+    denoise.py). u solves the grounded system L u = f, and each trial
+    adds i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
     directly or as sigma_rms times the RMS of u. bound defaults to |f|.
+    A signal with NaN or inf raises BadConfig, as do a negative or
+    non-finite sigma or bound (through the DenoiseConfig built here).
     Recovery uses the level filter at the level chosen from the fitted
     (H, d_eff), with a hard threshold that is the same on every level as
     the comparator, its value tuned on a separate noise stream. Both run
     in the trial engine of denoise.py; its outputs are permuted back to
-    vertex order here.
+    vertex order here, and the first trial's level-filter recovery is
+    stats.first_realization["recoveries"]["level-filter"].
     """
     op = grounded_laplacian(g)
     hier = build_from_points(op.node_coords, q)
@@ -163,7 +160,7 @@ def denoise_graph(
     a_box = op.A[np.ix_(inv, inv)]
     coords_box = op.node_coords[inv]
     op_box = DiscreteOperator(
-        A=a_box, mass=np.eye(op.n), dim=op.dim, s=1.0, q=q,
+        A=a_box, mass=np.eye(op.n), dim=op.dim, q=q,
         mesh_width=0.0, kind="graph", node_coords=coords_box,
     )
 
@@ -171,7 +168,7 @@ def denoise_graph(
     est = estimate_H_d(sys)
 
     if signal is None:
-        f_box = _default_vertex_signal(coords_box)
+        f_box = _smooth_2d(coords_box[:, 0], coords_box[:, 1])  # graph vertices are (x, y)
     elif callable(signal):
         f_box = np.asarray(signal(coords_box), dtype=float)
     else:
@@ -179,14 +176,13 @@ def denoise_graph(
         if f_vert.shape != (op.n,):
             raise ShapeMismatch(f"signal has shape {f_vert.shape}, expected ({op.n},)")
         f_box = f_vert[inv]
+    _require_finite(signal=f_box)
     u_box = solve_spd(cholesky(a_box), f_box)
 
     if sigma is None:
         if sigma_rms is None:
             raise BadConfig("give either sigma or sigma_rms")
         sigma = float(sigma_rms * np.sqrt(np.mean(u_box**2)))
-    if sigma < 0:
-        raise BadConfig(f"sigma must be >= 0, got {sigma}")
     if bound is None:
         bound = float(np.linalg.norm(f_box))
 
@@ -198,26 +194,17 @@ def denoise_graph(
         sys, op_box, _graph_config(est, sigma, bound, q), source, np.ones(q),
         trials, seed, GRAPH_METHODS, tune_size, np.geomspace(1e-2, 1e2, 16) * sigma,
     )
-    l_dag = stats.level
     real = stats.first_realization
-    first = level_filter(sys, real["eta"], l_dag)  # the first trial's level energies
     stats.first_realization = {
         "f": real["f"][p],
         "u": real["u"][p],
         "eta": real["eta"][p],
         "recoveries": {m: r[p] for m, r in real["recoveries"].items()},
-        "level": l_dag,
     }
     return GraphDenoiseOutput(
-        result=DenoiseResult(
-            recovered=stats.first_realization["recoveries"]["level-filter"],
-            level=l_dag,
-            level_energies=first.level_energies,
-            energy=first.energy,
-        ),
         stats=stats,
         estimate=est,
-        level=l_dag,
+        level=stats.level,
         sigma=float(sigma),
         bound=float(bound),
         clean=u_box[p],

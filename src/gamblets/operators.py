@@ -126,7 +126,6 @@ class DiscreteOperator:
     A: np.ndarray  # stiffness (or grounded Laplacian), SPD, N x N
     mass: np.ndarray  # L2 Gram matrix of the fine basis (identity for graphs)
     dim: int
-    s: int  # operator smoothness exponent (1 throughout)
     q: int  # levels of the companion hierarchy
     mesh_width: float | None  # FEM only
     kind: str  # "pde-1d" | "pde-2d" | "graph"
@@ -164,7 +163,7 @@ def _fem_1d(field: CoefficientField, q: int) -> DiscreteOperator:
             M[right, left] += m_off
     coords = ((np.arange(n) + 1) * hm).reshape(-1, 1)
     return DiscreteOperator(
-        A=symmetrize(A), mass=symmetrize(M), dim=1, s=1, q=q,
+        A=symmetrize(A), mass=symmetrize(M), dim=1, q=q,
         mesh_width=hm, kind="pde-1d", node_coords=coords,
     )
 
@@ -218,7 +217,7 @@ def _fem_2d(field: CoefficientField, q: int) -> DiscreteOperator:
     jx, jy = np.divmod(np.arange(N), n)
     coords = np.column_stack(((jx + 1) * hm, (jy + 1) * hm))
     return DiscreteOperator(
-        A=symmetrize(A), mass=symmetrize(M), dim=2, s=1, q=q,
+        A=symmetrize(A), mass=symmetrize(M), dim=2, q=q,
         mesh_width=hm, kind="pde-2d", node_coords=coords,
     )
 
@@ -351,7 +350,7 @@ def grounded_laplacian(g: GeometricGraph) -> DiscreteOperator:
     keep = np.array([v for v in range(n) if v != g.ground])
     A = L[np.ix_(keep, keep)]
     return DiscreteOperator(
-        A=symmetrize(A), mass=np.eye(n - 1), dim=2, s=1, q=0,
+        A=symmetrize(A), mass=np.eye(n - 1), dim=2, q=0,
         mesh_width=None, kind="graph", node_coords=g.coords[keep],
     )
 

@@ -143,6 +143,8 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     dropped (the fine-basis expansions decay exponentially, so this is
     a controlled sparsification; trunc = 0 is exact).
     """
+    if not 0.0 <= trunc < np.inf:
+        raise BadConfig(f"trunc must be finite and >= 0, got {trunc}")
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     if A.shape[0] != hier.n_fine:
         raise ShapeMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")

@@ -89,21 +89,19 @@ def level_error_avgs(sys, op, cfg, n_trials: int, seed: int) -> np.ndarray:
     """Level-filter energy-error AVG at every l = 0..q on the run_trials draws.
 
     Trial k redraws (u, eta) from the stream SeedSequence([seed, 0, k])
-    exactly as run_trials does. The wavelet levels are A-orthogonal, so
-    the squared error at level l is the B-energy of levels <= l of
-    c(eta - u) plus the B-energy of levels > l of c(u).
+    exactly as run_trials does: one block gen_signal call, then the
+    noise per trial. The wavelet levels are A-orthogonal, so the squared
+    error at level l is the B-energy of levels <= l of c(eta - u) plus
+    the B-energy of levels > l of c(u).
     """
-    overlap = gb.measurement_overlap(sys.hier, op)
-    factor = gb.cholesky(op.A)
-    err = np.zeros((n_trials, sys.q + 1))
-    for k in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, k]))
-        _, u = gb.gen_signal(sys.hier, op, cfg.signal, rng, overlap=overlap, factor=factor)
-        eta = gb.add_noise(u, cfg.sigma, rng)
-        picked = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, eta - u)))
-        lost = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, u))[::-1])[::-1]
-        err[k] = np.sqrt(np.maximum(np.append(0.0, picked) + np.append(lost, 0.0), 0.0))
-    return err.mean(axis=0)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0, k])) for k in range(n_trials)]
+    _, u = gb.gen_signal(sys.hier, op, cfg.signal, rngs)
+    zeta = np.column_stack([gb.add_noise(u[:, k], cfg.sigma, rng) for k, rng in enumerate(rngs)]) - u
+    picked = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, zeta)), axis=0)
+    lost = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, u))[::-1], axis=0)[::-1]
+    zero = np.zeros((1, n_trials))
+    err = np.sqrt(np.maximum(np.vstack([zero, picked]) + np.vstack([lost, zero]), 0.0))
+    return err.mean(axis=1)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """An (N, T) block of signals gives what its T columns give one by one.
 
-The trial engine runs every estimator once on a block of trials; these
-properties tie that path to the single-signal calls on the same code.
+The trial engine draws its trials with one block gen_signal call and
+runs every estimator once on the block; these properties tie that path
+to the single-signal calls on the same code.
 """
 
 import numpy as np
@@ -102,3 +103,26 @@ def test_estimators_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, see
     exact = gb.regularize(op, y, sigma=0.0)  # gamma = 0 keeps every column
     close(exact.recovered, y)
     assert np.all(exact.alpha == 0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    t=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["random-sphere", "smooth-1d"]),
+)
+def test_gen_signal_block_equals_columns(hier_1d_q4, op_1d_rough_q4, t, seed, mode):
+    hier, op = hier_1d_q4, op_1d_rough_q4
+
+    def rngs():
+        return [np.random.default_rng([seed, k]) for k in range(t)]
+
+    block_rngs = rngs()
+    f, u = gb.gen_signal(hier, op, mode, block_rngs)
+    assert f.shape == u.shape == (op.n, t)
+    for j, rng in enumerate(rngs()):
+        fj, uj = gb.gen_signal(hier, op, mode, rng)
+        np.testing.assert_array_equal(f[:, j], fj)
+        close(u[:, j], uj)
+        # generator j is left where the column call leaves it, so the noise drawn next agrees
+        assert block_rngs[j].standard_normal() == rng.standard_normal()

@@ -228,6 +228,22 @@ def test_rejected_parameter_values(capsys):
     assert "q must be >= 1" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["denoise", "--sigma", "nan"], "sigma"),
+        (["denoise", "--bound", "inf"], "bound"),
+        (["denoise", "--trunc", "nan"], "trunc"),
+        (["graph", "--synthetic-grid", "8", "--q", "3", "--sigma-rms", "nan"], "sigma_rms"),
+    ],
+)
+def test_rejects_non_finite_numbers(argv, field, tmp_path, capsys):
+    code, _, stderr = run(argv + ["--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert f"{field} must be finite" in stderr
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # graph
 

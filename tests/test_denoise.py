@@ -62,6 +62,15 @@ def test_config_validation():
         make_cfg(confidence=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", np.nan), ("bound", np.inf), ("s", np.nan), ("d", np.nan), ("t0", np.nan)],
+)
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(BadConfig, match=f"{field} must be finite"):
+        make_cfg(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Level filter.
 
@@ -261,6 +270,11 @@ def test_gen_signal_rejects_unknown_mode(hier_1d_q4, op_1d_rough_q4):
         gb.gen_signal(hier_1d_q4, op_1d_rough_q4, "triangle", np.random.default_rng(0))
 
 
+def test_gen_signal_block_needs_a_generator(hier_1d_q4, op_1d_rough_q4):
+    with pytest.raises(BadConfig, match="non-empty sequence"):
+        gb.gen_signal(hier_1d_q4, op_1d_rough_q4, "random-sphere", [])
+
+
 def test_add_noise_statistics():
     rng = np.random.default_rng(9)
     u = np.zeros(10_000)
@@ -312,7 +326,8 @@ def test_run_trials_records_realization(sys_1d_rough_q4, op_1d_rough_q4):
     assert first["u"].shape == (16,)
     assert set(first["recoveries"]) == set(stats.methods)
     assert stats.n_trials == 2
-    assert first["level"] == stats.level == gb.select_level(make_cfg())
+    assert "level" not in first  # the level is stats.level
+    assert stats.level == gb.select_level(make_cfg())
 
 
 def test_run_trials_warns_when_level_filter_is_zero(sys_1d_rough_q6, op_1d_rough_q6):

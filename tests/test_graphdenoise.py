@@ -68,7 +68,7 @@ def test_zero_noise_recovers_exactly():
         out = gb.denoise_graph(g, q=3, sigma=0.0, trials=1, seed=0)
     assert out.level == 3
     assert out.sigma == 0.0
-    assert_allclose(out.result.recovered, out.clean, atol=1e-9)
+    assert_allclose(out.stats.first_realization["recoveries"]["level-filter"], out.clean, atol=1e-9)
     for m in GRAPH_METHODS:
         assert out.stats.stats[m].energy_avg < 1e-9
     assert out.stats.noise_energy_avg == 0.0
@@ -92,7 +92,8 @@ def test_vector_and_callable_signals_agree():
     with pytest.warns(UserWarning, match="single trial"):
         b = gb.denoise_graph(g, q=3, sigma=0.0, trials=1, signal=values)
     assert_allclose(a.clean, b.clean, atol=0)
-    assert_allclose(a.result.recovered, b.result.recovered, atol=0)
+    recovered = [o.stats.first_realization["recoveries"]["level-filter"] for o in (a, b)]
+    assert_allclose(recovered[0], recovered[1], atol=0)
 
 
 def test_estimate_invariant_under_vertex_relabeling():
@@ -132,7 +133,7 @@ def test_graph_warns_when_level_filter_is_zero():
     with pytest.warns(UserWarning, match="level filter returns the zero vector"):
         out = gb.denoise_graph(gb.synthetic_grid(8), q=3, sigma_rms=10.0, trials=2, seed=1)
     assert out.level == 0
-    assert not out.result.recovered.any()
+    assert not out.stats.first_realization["recoveries"]["level-filter"].any()
 
 
 def test_needs_one_vertex_per_fine_box():
@@ -150,3 +151,18 @@ def test_pipeline_config_errors():
         gb.denoise_graph(g, q=3, sigma=-1.0, trials=2)
     with pytest.raises(ShapeMismatch):
         gb.denoise_graph(g, q=3, sigma=0.1, trials=2, signal=np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(sigma=np.nan), "sigma"),
+        (dict(sigma_rms=np.nan), "sigma"),
+        (dict(sigma=0.1, bound=np.inf), "bound"),
+        (dict(sigma=0.1, signal=np.full(63, np.nan)), "signal"),
+        (dict(sigma=0.1, signal=lambda xy: xy[:, 0] / (xy[:, 1] > 0)), "signal"),  # inf at y = 0
+    ],
+)
+def test_pipeline_rejects_non_finite_inputs(kwargs, field):
+    with np.errstate(divide="ignore"), pytest.raises(BadConfig, match=f"{field} must be finite"):
+        gb.denoise_graph(gb.synthetic_grid(8), q=3, trials=2, **kwargs)

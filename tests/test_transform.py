@@ -77,6 +77,12 @@ def test_transform_accepts_raw_matrix(hier_1d_q4, op_1d_rough_q4):
     assert_allclose(direct.a_of(1), via_op.a_of(1), atol=0)
 
 
+@pytest.mark.parametrize("trunc", [np.nan, np.inf, -1e-3])
+def test_transform_rejects_bad_trunc(op_1d_rough_q4, hier_1d_q4, trunc):
+    with pytest.raises(BadConfig, match="trunc must be finite and >= 0"):
+        gb.transform(op_1d_rough_q4, hier_1d_q4, trunc=trunc)
+
+
 def test_transform_rejects_wrong_size(hier_1d_q4):
     with pytest.raises(gb.ShapeMismatch):
         gb.transform(np.eye(7), hier_1d_q4)
