@@ -5,6 +5,14 @@ discretized elliptic PDE or a grounded graph Laplacian) over a nested
 measurement hierarchy into uniformly conditioned detail blocks, and
 uses the resulting coordinates to recover signals from noisy
 measurements with a prior energy bound.
+
+The root exports the pipeline: the hierarchy and operator builders, the
+transform with analyze/reconstruct/solve and persistence, the four
+estimators with level selection, signal generation and the trial
+harness, the graph pipeline, the types these take and return and the
+exceptions they raise. Numerics kernels, test oracles and tuning
+internals are imported from their modules (gamblets.numerics,
+gamblets.transform, gamblets.denoise, ...).
 """
 
 from .errors import (
@@ -16,27 +24,14 @@ from .errors import (
     EmptyPointSet,
     GambletError,
     InvalidProbability,
-    LevelZero,
     NoBracketWarning,
     NoConvergence,
     NotSPD,
-    ShapeMismatch,
     TooFewLevels,
     TooLarge,
     UnsupportedDim,
 )
-from .numerics import (
-    CholFactor,
-    chi_square_quantile,
-    cholesky,
-    dump_matrix_csv,
-    extreme_eigs,
-    load_matrix_csv,
-    solve_spd,
-    spd_inverse,
-    symmetrize,
-)
-from .hierarchy import Hierarchy, build_dyadic, build_from_points, hierarchy_from_json
+from .hierarchy import Hierarchy, build_dyadic, build_from_points
 from .operators import (
     CoefficientField,
     DiscreteOperator,
@@ -48,25 +43,17 @@ from .operators import (
     coeff_unit,
     grounded_laplacian,
     load_graph,
-    make_graph,
-    measurement_overlap,
-    parse_graph,
     synthetic_grid,
 )
 from .transform import (
     GambletSystem,
     MultiresCoefficients,
     analyze,
-    coefficient_energies,
-    energy_norm,
     load_system,
-    oracle_transform,
     reconstruct,
     save_system,
     solve,
     transform,
-    validate_system,
-    z_matrix,
 )
 from .denoise import (
     METHODS,
@@ -76,8 +63,6 @@ from .denoise import (
     MethodStats,
     TrialStats,
     add_noise,
-    default_threshold_grid,
-    energy_growth_check,
     errors,
     gen_signal,
     hard_threshold,
@@ -87,39 +72,24 @@ from .denoise import (
     run_trials,
     select_level,
     soft_threshold,
-    threshold_schedule,
-    tune_threshold,
 )
-from .graphdenoise import (
-    GraphDenoiseOutput,
-    GraphScaleEstimate,
-    denoise_graph,
-    estimate_H_d,
-    select_level_graph,
-)
+from .graphdenoise import GraphDenoiseOutput, GraphScaleEstimate, denoise_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadConfig", "BadLevel", "DimensionMismatch", "Disconnected", "EmptyGrid",
-    "EmptyPointSet", "GambletError", "InvalidProbability", "LevelZero",
-    "NoBracketWarning", "NoConvergence", "NotSPD", "ShapeMismatch",
-    "TooFewLevels", "TooLarge", "UnsupportedDim",
-    "CholFactor", "chi_square_quantile", "cholesky", "dump_matrix_csv",
-    "extreme_eigs", "load_matrix_csv", "solve_spd", "spd_inverse", "symmetrize",
-    "Hierarchy", "build_dyadic", "build_from_points", "hierarchy_from_json",
+    "EmptyPointSet", "GambletError", "InvalidProbability", "NoBracketWarning",
+    "NoConvergence", "NotSPD", "TooFewLevels", "TooLarge", "UnsupportedDim",
+    "Hierarchy", "build_dyadic", "build_from_points",
     "CoefficientField", "DiscreteOperator", "GeometricGraph", "assemble_fem",
     "coeff_1d", "coeff_2d", "coeff_from_cells", "coeff_unit",
-    "grounded_laplacian", "load_graph", "make_graph", "measurement_overlap",
-    "parse_graph", "synthetic_grid",
-    "GambletSystem", "MultiresCoefficients", "analyze", "coefficient_energies",
-    "energy_norm", "load_system", "oracle_transform", "reconstruct",
-    "save_system", "solve", "transform", "validate_system", "z_matrix",
+    "grounded_laplacian", "load_graph", "synthetic_grid",
+    "GambletSystem", "MultiresCoefficients", "analyze", "load_system",
+    "reconstruct", "save_system", "solve", "transform",
     "METHODS", "SIGNAL_MODES", "DenoiseConfig", "DenoiseResult", "MethodStats",
-    "TrialStats", "add_noise", "default_threshold_grid", "energy_growth_check",
-    "errors", "gen_signal", "hard_threshold", "level_betas", "level_filter",
-    "regularize", "run_trials", "select_level", "soft_threshold",
-    "threshold_schedule", "tune_threshold",
+    "TrialStats", "add_noise", "errors", "gen_signal", "hard_threshold",
+    "level_betas", "level_filter", "regularize", "run_trials", "select_level",
+    "soft_threshold",
     "GraphDenoiseOutput", "GraphScaleEstimate", "denoise_graph",
-    "estimate_H_d", "select_level_graph",
 ]

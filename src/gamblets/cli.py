@@ -4,7 +4,8 @@ Subcommands:
 
 * ``transform`` builds a gamblet system for a PDE problem and stores it
   (skipping the work when the output directory already holds a system
-  built from the same configuration).
+  built from the same configuration and, for a coefficient CSV, the
+  same file bytes).
 * ``denoise`` runs the estimator comparison on a PDE problem.
 * ``graph`` runs the graph pipeline on a file or synthetic grid graph.
   Both write system/, results.csv, realization0.csv and manifest.json
@@ -45,7 +46,7 @@ from .operators import (
     load_graph,
     synthetic_grid,
 )
-from .transform import save_system, transform, verify_system
+from .transform import _file_sha256, save_system, transform, verify_system
 
 log = logging.getLogger("gamblets")
 
@@ -289,12 +290,16 @@ def _write_run(
 # Subcommands.
 
 def _system_key(cfg: ExperimentConfig) -> dict:
-    return {
+    """What the stored system depends on; a coefficient CSV counts by its bytes, not its path."""
+    key = {
         "problem": cfg.problem,
         "q": cfg.q,
         "coefficient": cfg.coefficient,
         "trunc": cfg.trunc,
     }
+    if cfg.coefficient not in ("rough", "unit"):
+        key["coefficient_sha256"] = _file_sha256(cfg.coefficient)
+    return key
 
 
 def cmd_transform(cfg: ExperimentConfig) -> int:
@@ -372,7 +377,6 @@ def cmd_graph(cfg: ExperimentConfig) -> int:
         g,
         cfg.q,
         sigma=sigma,
-        bound=None,
         seed=cfg.seed,
         trials=cfg.trials,
         sigma_rms=cfg.sigma_rms,

@@ -25,8 +25,11 @@ aggregates error statistics. It is the PDE front end of the one trial
 engine, which draws every trial up front through gen_signal, analyzes
 the noisy block once and derives the level filter and both shrinkers
 from those coefficients; the graph pipeline (graphdenoise.denoise_graph)
-feeds the same engine. energy_growth_check measures how much energy the
-level filter picks up from the noise on the same draws.
+feeds the same engine. Each front end fixes its own threshold tuning:
+run_trials tunes over default_threshold_grid on 32 pairs, and neither
+the pair count nor the grid is a parameter. energy_growth_check returns
+the per-trial energies the level filter picks up from the noise on the
+same draws; it serves the tests and is not exported at the package root.
 """
 
 from __future__ import annotations
@@ -233,15 +236,15 @@ def soft_threshold(sys: GambletSystem, y: np.ndarray, t0: float, cfg: DenoiseCon
     return _result(sys, _shrink(analyze(sys, y), threshold_schedule(cfg, t0), _soft))
 
 
-def default_threshold_grid(cfg: DenoiseConfig, size: int = 16) -> np.ndarray:
-    """Candidate t0 values bracketing the noise scale of the coefficients.
+def default_threshold_grid(cfg: DenoiseConfig) -> np.ndarray:
+    """Sixteen candidate t0 values bracketing the noise scale of the coefficients.
 
     Spans [1e-2, 1e2] times sigma h^(2s) logarithmically; collapses to
     {0} when sigma = 0 (no noise means no shrinkage).
     """
     if cfg.sigma == 0.0:
         return np.array([0.0])
-    return np.geomspace(1e-2, 1e2, size) * cfg.sigma * cfg.h ** (2 * cfg.s)
+    return np.geomspace(1e-2, 1e2, 16) * cfg.sigma * cfg.h ** (2 * cfg.s)
 
 
 def _tune(sys: GambletSystem, cu, ceta, t0_grid, scale: np.ndarray, rule) -> float:
@@ -543,7 +546,8 @@ def _trial_engine(
 
     source(rngs) returns the (N, T) blocks (F, U) of the clean trials,
     drawing from each generator in turn; the engine adds the noise.
-    Shrinkage thresholds are t0 * scale[k] on level k. Trials come from
+    Shrinkage thresholds are t0 * scale[k] on level k, with t0 tuned over
+    t0_grid on tune_size pairs unless cfg.t0 fixes it. Trials come from
     the streams (seed, 0, k) and tuning pairs from (seed, 1, i). The
     noisy block is analyzed once: the level filter reconstructs its
     levels <= l-dagger and each shrinker its rule applied to them.
@@ -566,12 +570,9 @@ def _trial_engine(
     if shrinkers and cfg.t0 is not None:
         tuned = {m: cfg.t0 for m in shrinkers}
     elif shrinkers:
-        if tune_size < 1:
-            raise EmptyGrid("no tuning trials supplied")
-        grid = default_threshold_grid(cfg) if t0_grid is None else t0_grid
         _, u, eta = _draw_trials(source, cfg.sigma, seed, 1, tune_size)
         cu, ceta = analyze(sys, u).levels, analyze(sys, eta).levels
-        tuned = {m: _tune(sys, cu, ceta, grid, scale, _RULES[m]) for m in shrinkers}
+        tuned = {m: _tune(sys, cu, ceta, t0_grid, scale, _RULES[m]) for m in shrinkers}
         log.info("tuned thresholds: %s", tuned)
 
     f, u, eta = _draw_trials(source, cfg.sigma, seed, 0, n_trials)
@@ -615,8 +616,6 @@ def run_trials(
     n_trials: int,
     seed: int,
     methods: tuple[str, ...] | list[str] | None = None,
-    tune_size: int = 32,
-    t0_grid: np.ndarray | None = None,
 ) -> TrialStats:
     """Evaluate the estimators on n_trials independent signal/noise draws.
 
@@ -625,11 +624,12 @@ def run_trials(
     threshold tuning uses a disjoint stream keyed by (seed, 1, i), so
     results are reproducible. All trials are drawn up front and every
     method runs on the (N, n_trials) block at once; shrinkage follows
-    threshold_schedule.
+    threshold_schedule, with t0 tuned over default_threshold_grid on 32
+    pairs unless cfg.t0 fixes it.
     """
     return _trial_engine(
         sys, op, cfg, _pde_source(sys, op, cfg.signal), threshold_schedule(cfg, 1.0),
-        n_trials, seed, methods, tune_size, t0_grid,
+        n_trials, seed, methods, tune_size=32, t0_grid=default_threshold_grid(cfg),
     )
 
 
@@ -639,17 +639,15 @@ def energy_growth_check(
     cfg: DenoiseConfig,
     n_trials: int,
     seed: int,
-    quantile: float = 0.95,
-    return_samples: bool = False,
-):
-    """Empirical quantile of |recovery|_A - |u|_A for the level filter.
+) -> np.ndarray:
+    """Per-trial energies of the level filter: an (n_trials, 3) array.
 
-    The difference is the energy picked up from the noise minus the
-    energy lost by truncating u, so the quantile can be negative, and it
-    changes sign as sigma moves the selected level. The pickup alone
-    bounds it by the triangle inequality. With return_samples the
-    (n_trials, 3) array of |recovery|_A, |u|_A and the noise pickup
-    |level_filter(eta - u)|_A is returned as well.
+    Its columns are |recovery|_A, |u|_A and the noise pickup
+    |level_filter(eta - u)|_A. The first minus the second is the energy
+    picked up from the noise minus the energy lost by truncating u, so
+    it can be negative, and its quantiles change sign as sigma moves
+    the selected level. The pickup alone bounds it by the triangle
+    inequality.
 
     The trials are run_trials' draws; eta and eta - u are filtered
     together as one (N, 2 n_trials) block.
@@ -659,12 +657,8 @@ def energy_growth_check(
         raise LevelZero("selected level is 0; the statistic needs at least one level")
     _, u, eta = _draw_trials(_pde_source(sys, op, cfg.signal), cfg.sigma, seed, 0, n_trials)
     rec = reconstruct(sys, analyze(sys, np.hstack([eta, eta - u])), upto=l_dag)
-    samples = np.column_stack([
+    return np.column_stack([
         energy_norm(op, rec[:, :n_trials]),
         energy_norm(op, u),
         energy_norm(op, rec[:, n_trials:]),
     ])
-    qv = float(np.quantile(samples[:, 0] - samples[:, 1], quantile))
-    if return_samples:
-        return qv, samples
-    return qv

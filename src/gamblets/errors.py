@@ -14,11 +14,7 @@ class NotSPD(GambletError):
 
 
 class DimensionMismatch(GambletError):
-    """Operand shapes are incompatible."""
-
-
-class ShapeMismatch(GambletError):
-    """Hierarchy and operator dimensions disagree."""
+    """Operand shapes are incompatible, such as an operator whose size does not match the hierarchy."""
 
 
 class NoConvergence(GambletError):

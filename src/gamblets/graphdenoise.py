@@ -9,8 +9,9 @@ of (h^s, d). denoise_graph is the end-to-end pipeline: ground, build a
 hierarchy from vertex coordinates, transform, fit the scales, then hand
 the fixed clean signal to the trial engine of denoise.py, which adds
 the noise and runs the level filter and a hard threshold that is the
-same on every level. The first trial's recoveries come back in
-stats.first_realization, which is the one copy of them.
+same on every level. The first trial's clean signal, noisy signal and
+recoveries come back in stats.first_realization, and the selected level
+in stats.level; the output holds no second copy of either.
 
 Vertices are re-indexed internally to the hierarchy's fine-box order;
 everything returned to the caller is in the original vertex order.
@@ -30,7 +31,7 @@ from .denoise import (
     _trial_engine,
     select_level,
 )
-from .errors import BadConfig, GambletError, ShapeMismatch, TooFewLevels
+from .errors import BadConfig, DimensionMismatch, GambletError, TooFewLevels
 from .hierarchy import build_from_points
 from .numerics import cholesky, extreme_eigs, solve_spd
 from .operators import DiscreteOperator, GeometricGraph, grounded_laplacian
@@ -55,7 +56,6 @@ class GraphScaleEstimate:
     lambda_max: list[float]
     lambda_min: list[float]
     h_from_min: float
-    j_sizes: list[int]
 
 
 def estimate_H_d(sys: GambletSystem) -> GraphScaleEstimate:
@@ -91,12 +91,11 @@ def estimate_H_d(sys: GambletSystem) -> GraphScaleEstimate:
         lambda_max=lam_max,
         lambda_min=lam_min,
         h_from_min=float(np.exp(-slope_min / 2.0)),
-        j_sizes=list(j_sizes),
     )
 
 
 def _graph_config(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> DenoiseConfig:
-    return DenoiseConfig(d=est.d_eff, q=q, sigma=sigma, bound=bound, h=est.H, s=1.0)
+    return DenoiseConfig(d=est.d_eff, q=q, sigma=sigma, bound=bound, h=est.H)
 
 
 def select_level_graph(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> int:
@@ -106,14 +105,16 @@ def select_level_graph(est: GraphScaleEstimate, sigma: float, bound: float, q: i
 
 @dataclass
 class GraphDenoiseOutput:
-    """denoise_graph's output; stats.first_realization is in vertex order."""
+    """denoise_graph's output.
+
+    stats.first_realization is in vertex order; its "u" is the clean
+    solution and stats.level the selected level.
+    """
 
     stats: TrialStats
     estimate: GraphScaleEstimate
-    level: int
     sigma: float
-    bound: float
-    clean: np.ndarray  # clean solution u, vertex order
+    bound: float  # |f|
     system: GambletSystem | None = None
     coords: np.ndarray | None = None  # free-vertex coordinates, vertex order
 
@@ -122,12 +123,10 @@ def denoise_graph(
     g: GeometricGraph,
     q: int,
     sigma: float | None = None,
-    bound: float | None = None,
     signal=None,
     seed: int = 0,
     trials: int = 1,
     sigma_rms: float | None = None,
-    tune_size: int = 16,
 ) -> GraphDenoiseOutput:
     """Full graph pipeline: ground, transform, corrupt, recover.
 
@@ -136,20 +135,30 @@ def denoise_graph(
     vector of per-vertex values, or None for the smooth-2d formula of
     denoise.py). u solves the grounded system L u = f, and each trial
     adds i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
-    directly or as sigma_rms times the RMS of u. bound defaults to |f|.
-    A signal with NaN or inf raises BadConfig, as do a negative or
-    non-finite sigma or bound (through the DenoiseConfig built here).
-    Recovery uses the level filter at the level chosen from the fitted
-    (H, d_eff), with a hard threshold that is the same on every level as
-    the comparator, its value tuned on a separate noise stream. Both run
+    directly or as sigma_rms times the RMS of u; the prior bound is |f|.
+    A missing, negative or non-finite sigma (or sigma_rms) and trials < 1
+    raise BadConfig before any work; a signal with NaN or inf raises it
+    once the signal is read. Recovery uses the level filter at the level
+    chosen from the fitted (H, d_eff), with a hard threshold that is the
+    same on every level as the comparator, its value tuned over 16
+    multiples of sigma on 16 pairs of a separate noise stream. Both run
     in the trial engine of denoise.py; its outputs are permuted back to
     vertex order here, and the first trial's level-filter recovery is
     stats.first_realization["recoveries"]["level-filter"].
     """
+    if trials < 1:
+        raise BadConfig(f"trials must be >= 1, got {trials}")
+    if sigma is None and sigma_rms is None:
+        raise BadConfig("give either sigma or sigma_rms")
+    noise = sigma if sigma is not None else sigma_rms  # sigma, or its multiple of the RMS of u
+    _require_finite(sigma=noise)
+    if noise < 0:
+        raise BadConfig(f"sigma must be >= 0, got {noise}")
+
     op = grounded_laplacian(g)
     hier = build_from_points(op.node_coords, q)
     if hier.n_fine != op.n:
-        raise ShapeMismatch(
+        raise DimensionMismatch(
             f"hierarchy has {hier.n_fine} occupied fine boxes for {op.n} free vertices; "
             f"the pipeline needs exactly one vertex per fine box (try a larger q)"
         )
@@ -174,17 +183,14 @@ def denoise_graph(
     else:
         f_vert = np.asarray(signal, dtype=float)
         if f_vert.shape != (op.n,):
-            raise ShapeMismatch(f"signal has shape {f_vert.shape}, expected ({op.n},)")
+            raise DimensionMismatch(f"signal has shape {f_vert.shape}, expected ({op.n},)")
         f_box = f_vert[inv]
     _require_finite(signal=f_box)
     u_box = solve_spd(cholesky(a_box), f_box)
 
     if sigma is None:
-        if sigma_rms is None:
-            raise BadConfig("give either sigma or sigma_rms")
         sigma = float(sigma_rms * np.sqrt(np.mean(u_box**2)))
-    if bound is None:
-        bound = float(np.linalg.norm(f_box))
+    bound = float(np.linalg.norm(f_box))
 
     def source(rngs):
         t = len(rngs)
@@ -192,7 +198,7 @@ def denoise_graph(
 
     stats = _trial_engine(
         sys, op_box, _graph_config(est, sigma, bound, q), source, np.ones(q),
-        trials, seed, GRAPH_METHODS, tune_size, np.geomspace(1e-2, 1e2, 16) * sigma,
+        trials, seed, GRAPH_METHODS, tune_size=16, t0_grid=np.geomspace(1e-2, 1e2, 16) * sigma,
     )
     real = stats.first_realization
     stats.first_realization = {
@@ -204,10 +210,8 @@ def denoise_graph(
     return GraphDenoiseOutput(
         stats=stats,
         estimate=est,
-        level=stats.level,
         sigma=float(sigma),
-        bound=float(bound),
-        clean=u_box[p],
+        bound=bound,
         system=sys,
         coords=op.node_coords,
     )

@@ -20,7 +20,6 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -87,9 +86,6 @@ class Hierarchy:
         if self.coords is not None:
             doc["coords"] = self.coords.tolist()
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def hierarchy_from_json(text: str) -> Hierarchy:

@@ -19,6 +19,7 @@ import scipy.linalg
 from scipy.special import gammainc
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     InvalidProbability,
     NoConvergence,
@@ -142,5 +143,8 @@ def dump_matrix_csv(path, m: np.ndarray) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by dump_matrix_csv."""
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    """Read a matrix written by dump_matrix_csv; a cell that is not a number raises BadConfig."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise BadConfig(f"{path}: not a numeric CSV matrix ({exc})") from None

@@ -97,6 +97,8 @@ def coeff_from_cells(values: np.ndarray, dim: int) -> CoefficientField:
     values[ix, iy] on the cell at grid position (ix, iy).
     """
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise BadConfig("coefficient has no cell values")
     if not np.isfinite(values).all() or values.min() <= 0.0:
         raise BadConfig("coefficient cell values must be positive and finite")
     if dim == 1:
@@ -277,6 +279,14 @@ def make_graph(coords: np.ndarray, edges, ground: int = 0) -> GeometricGraph:
     return GeometricGraph(coords=_normalize_coords(coords), edges=edges[order], ground=ground)
 
 
+def _numbers(ln: list[str], types, what: str) -> list:
+    """The fields of one graph-file line converted by `types`; a non-number raises BadConfig."""
+    try:
+        return [t(v) for t, v in zip(types, ln)]
+    except ValueError:
+        raise BadConfig(f"{what} line has a field that is not a number: {' '.join(ln)!r}") from None
+
+
 def parse_graph(text: str, ground: int = 0) -> GeometricGraph:
     """Parse the plain-text graph format.
 
@@ -285,7 +295,9 @@ def parse_graph(text: str, ground: int = 0) -> GeometricGraph:
     rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not rows or len(rows[0]) != 2:
         raise BadConfig("graph file must start with a header line 'N M'")
-    n, m = int(rows[0][0]), int(rows[0][1])
+    n, m = _numbers(rows[0], (int, int), "header")
+    if n < 0 or m < 0:
+        raise BadConfig(f"graph header counts must be >= 0, got {n} {m}")
     if len(rows) != 1 + n + m:
         raise BadConfig(f"graph file should have {1 + n + m} content lines, found {len(rows)}")
     coords = np.zeros((n, 2))
@@ -293,16 +305,16 @@ def parse_graph(text: str, ground: int = 0) -> GeometricGraph:
     for ln in rows[1 : 1 + n]:
         if len(ln) != 3:
             raise BadConfig(f"vertex line must be 'idx x y', got {' '.join(ln)!r}")
-        idx = int(ln[0])
+        idx, x, y = _numbers(ln, (int, float, float), "vertex")
         if not (0 <= idx < n) or seen[idx]:
             raise BadConfig(f"bad or repeated vertex index {idx}")
         seen[idx] = True
-        coords[idx] = (float(ln[1]), float(ln[2]))
+        coords[idx] = (x, y)
     edges = []
     for ln in rows[1 + n :]:
         if len(ln) != 2:
             raise BadConfig(f"edge line must be 'i j', got {' '.join(ln)!r}")
-        edges.append((int(ln[0]), int(ln[1])))
+        edges.append(_numbers(ln, (int, int), "edge"))
     return make_graph(coords, np.array(edges, dtype=int).reshape(-1, 2), ground=ground)
 
 

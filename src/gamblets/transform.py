@@ -4,14 +4,17 @@ transform() runs the level-by-level recursion: for k = q..2 it forms
 the detail Gram matrix B^(k) = W A^(k) W^T, the dual-update matrix
 N^(k) = A^(k) W^T B^(k),-1, the coarsening map
 R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
-A^(k-1) = R A^(k) R^T. oracle_transform() computes every A^(k)
-independently by inverting the measurement Gram matrix
-Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists purely to cross-check
-the recursion. analyze()/reconstruct() move signals between fine
-coefficients and per-level wavelet coefficients, one vector or an
-(N, T) block of T signals at a time, solve() is the
-multilevel solver, and z_matrix() assembles the noise covariance
-scaling of the dual wavelets. Each diagonal (per-level) block of Z has
+A^(k-1) = R A^(k) R^T, and an exact system is then checked against
+its construction identities to the fixed CONSTRUCTION_TOL. An operator
+whose size differs from the hierarchy's raises DimensionMismatch.
+oracle_transform() computes every A^(k) independently by inverting the
+measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists
+purely to cross-check the recursion, and like z_matrix() it is imported
+from this module, not from the package root. analyze()/reconstruct()
+move signals between fine coefficients and per-level wavelet
+coefficients, one vector or an (N, T) block of T signals at a time,
+solve() is the multilevel solver, and z_matrix() assembles the noise
+covariance scaling of the dual wavelets. Each diagonal (per-level) block of Z has
 lambda_min >= 1; the full Z can fall below 1 through its cross-level
 blocks.
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, ShapeMismatch, TooLarge
+from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, TooLarge
 from .hierarchy import Hierarchy, hierarchy_from_json
 from .numerics import (
     DENSE_CAP,
@@ -56,9 +59,6 @@ class MultiresCoefficients:
     def q(self) -> int:
         return len(self.levels)
 
-    def copy(self) -> "MultiresCoefficients":
-        return MultiresCoefficients([c.copy() for c in self.levels])
-
 
 @dataclass
 class GambletSystem:
@@ -69,7 +69,6 @@ class GambletSystem:
     n_levels: list[np.ndarray]  # N^(k), k = 2..q
     trunc: float = 0.0
     _b_factors: list[CholFactor | None] = field(default_factory=list, repr=False)
-    _psi_fine: dict = field(default_factory=dict, repr=False)
 
     @property
     def q(self) -> int:
@@ -106,12 +105,10 @@ class GambletSystem:
 
     def psi_fine(self, k: int) -> np.ndarray:
         """Rows are the fine-basis coefficients of psi^(k)_i (product of R factors)."""
-        if k not in self._psi_fine:
-            if k == self.q:
-                self._psi_fine[k] = np.eye(self.n_fine)
-            else:
-                self._psi_fine[k] = self.r_of(k + 1) @ self.psi_fine(k + 1)
-        return self._psi_fine[k]
+        out = np.eye(self.n_fine)
+        for j in range(self.q, k, -1):
+            out = self.r_of(j) @ out
+        return out
 
     def chi_fine(self, k: int) -> np.ndarray:
         """Rows are the fine-basis coefficients of chi^(k)_i (psi^(1) rows for k=1)."""
@@ -147,7 +144,7 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
         raise BadConfig(f"trunc must be finite and >= 0, got {trunc}")
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     if A.shape[0] != hier.n_fine:
-        raise ShapeMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
+        raise DimensionMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
     q = hier.q
 
     a_levels: list[np.ndarray] = [None] * q
@@ -187,8 +184,8 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     return sys
 
 
-def validate_system(sys: GambletSystem, tol: float = CONSTRUCTION_TOL) -> None:
-    """Assert the construction identities of an exact (trunc = 0) system."""
+def validate_system(sys: GambletSystem) -> None:
+    """Assert the construction identities of an exact (trunc = 0) system to CONSTRUCTION_TOL."""
     if sys.trunc != 0.0:
         raise BadConfig("validate_system needs an exact (trunc = 0) system")
     hier = sys.hier
@@ -197,13 +194,13 @@ def validate_system(sys: GambletSystem, tol: float = CONSTRUCTION_TOL) -> None:
         Ak = sys.a_of(k)
         scale = max(1.0, float(np.abs(Ak).max()))
         b_err = np.abs(W @ Ak @ W.T - sys.b_of(k)).max()
-        if b_err > tol * scale:
+        if b_err > CONSTRUCTION_TOL * scale:
             raise GambletError(f"B^({k}) != W A W^T (max dev {b_err:.2e})")
         a_err = np.abs(sys.r_of(k) @ Ak @ sys.r_of(k).T - sys.a_of(k - 1)).max()
-        if a_err > tol * scale:
+        if a_err > CONSTRUCTION_TOL * scale:
             raise GambletError(f"A^({k - 1}) != R A R^T (max dev {a_err:.2e})")
         wn_err = np.abs(W @ sys.n_of(k) - np.eye(hier.j_size(k))).max()
-        if wn_err > tol * max(1.0, float(np.abs(sys.n_of(k)).max())):
+        if wn_err > CONSTRUCTION_TOL * max(1.0, float(np.abs(sys.n_of(k)).max())):
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
 
 
@@ -216,7 +213,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     """
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     if A.shape[0] != hier.n_fine:
-        raise ShapeMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
+        raise DimensionMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
     if A.shape[0] > DENSE_CAP:
         raise TooLarge(f"oracle inversion capped at {DENSE_CAP}, got {A.shape[0]}")
     q = hier.q
@@ -396,9 +393,8 @@ def save_system(sys: GambletSystem, dirpath) -> None:
 
     Matrices are written losslessly by np.save (no pickling), whose
     header is deterministic, so two saves of one system are
-    byte-identical. hierarchy.json holds the hierarchy's recipe, whose
-    digest equals Hierarchy.sha256(). The manifest records the sha256
-    of every file.
+    byte-identical. hierarchy.json holds the hierarchy's recipe
+    (Hierarchy.to_json). The manifest records the sha256 of every file.
     """
     os.makedirs(dirpath, exist_ok=True)
     files: dict[str, str] = {"hierarchy": "hierarchy.json"}

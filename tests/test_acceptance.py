@@ -31,6 +31,10 @@ import numpy as np
 import pytest
 
 import gamblets as gb
+from gamblets.denoise import energy_growth_check
+from gamblets.numerics import cholesky, extreme_eigs, solve_spd
+from gamblets.operators import measurement_overlap
+from gamblets.transform import coefficient_energies, energy_norm, oracle_transform, z_matrix
 from conftest import random_spd
 
 
@@ -97,8 +101,8 @@ def level_error_avgs(sys, op, cfg, n_trials: int, seed: int) -> np.ndarray:
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0, k])) for k in range(n_trials)]
     _, u = gb.gen_signal(sys.hier, op, cfg.signal, rngs)
     zeta = np.column_stack([gb.add_noise(u[:, k], cfg.sigma, rng) for k, rng in enumerate(rngs)]) - u
-    picked = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, zeta)), axis=0)
-    lost = np.cumsum(gb.coefficient_energies(sys, gb.analyze(sys, u))[::-1], axis=0)[::-1]
+    picked = np.cumsum(coefficient_energies(sys, gb.analyze(sys, zeta)), axis=0)
+    lost = np.cumsum(coefficient_energies(sys, gb.analyze(sys, u))[::-1], axis=0)[::-1]
     zero = np.zeros((1, n_trials))
     err = np.sqrt(np.maximum(np.vstack([zero, picked]) + np.vstack([lost, zero]), 0.0))
     return err.mean(axis=1)
@@ -126,7 +130,7 @@ def test_criterion_01_transform_matches_oracle():
             field = gb.coeff_1d() if dim == 1 else gb.coeff_2d()
         op = gb.assemble_fem(field, hier)
         got = gb.transform(op, hier)
-        want = gb.oracle_transform(op, hier)
+        want = oracle_transform(op, hier)
         for k in range(1, q + 1):
             worst = max(worst, float(np.linalg.norm(got.a_of(k) - want.a_of(k))))
             worst = max(worst, float(np.linalg.norm(got.b_of(k) - want.b_of(k))))
@@ -162,8 +166,8 @@ def test_criterion_03_multilevel_solve(pde_1d_q8, pde_2d_q4):
     for op, sys in (pde_1d_q8, pde_2d_q4):
         f = np.random.default_rng(31).standard_normal(op.n)
         x = gb.solve(sys, f)
-        want = gb.solve_spd(gb.cholesky(op.A), f)
-        rel = gb.energy_norm(op, x - want) / gb.energy_norm(op, want)
+        want = solve_spd(cholesky(op.A), f)
+        rel = energy_norm(op, x - want) / energy_norm(op, want)
         worst = max(worst, rel)
     ok = worst < 1e-9
     detail = f"max relative energy error {worst:.3e} (< 1e-9)"
@@ -185,10 +189,10 @@ def test_criterion_04_noise_gram_lower_bound(sys_2d_rough_q3):
     ok = True
     lines = []
     for label, sys in (("1D", sys_1d), ("2D", sys_2d_rough_q3)):
-        z = gb.z_matrix(sys)
+        z = z_matrix(sys)
         offs = np.cumsum([0] + sys.hier.j_sizes)
-        block_min = [gb.extreme_eigs(z[a:b, a:b])[0] for a, b in zip(offs, offs[1:])]
-        lo, hi = gb.extreme_eigs(z)
+        block_min = [extreme_eigs(z[a:b, a:b])[0] for a, b in zip(offs, offs[1:])]
+        lo, hi = extreme_eigs(z)
         ok = ok and min(block_min) >= 1.0 - 1e-8 and np.isfinite(hi)
         lines.append(
             f"{label}: per-level lambda_min " + ", ".join(f"{v:.4f}" for v in block_min)
@@ -204,11 +208,11 @@ def test_criterion_05_uniform_conditioning(pde_1d_q8):
     op, sys = pde_1d_q8
     conds = []
     for k in range(1, 9):
-        lo, hi = gb.extreme_eigs(sys.b_of(k))
+        lo, hi = extreme_eigs(sys.b_of(k))
         conds.append(hi / lo)
     b_ratio = max(conds) / min(conds)
-    lo1, hi1 = gb.extreme_eigs(sys.a_of(1))
-    loq, hiq = gb.extreme_eigs(sys.a_of(8))
+    lo1, hi1 = extreme_eigs(sys.a_of(1))
+    loq, hiq = extreme_eigs(sys.a_of(8))
     a_ratio = (hiq / loq) / (hi1 / lo1)
     elapsed = time.monotonic() - start
     ok = b_ratio < 10.0 and a_ratio > 100.0 and elapsed < 60.0
@@ -222,10 +226,10 @@ def test_criterion_05_uniform_conditioning(pde_1d_q8):
 
 def test_criterion_06_approximation_rate(pde_1d_q8):
     op, sys = pde_1d_q8
-    overlap = gb.measurement_overlap(sys.hier, op)
+    overlap = measurement_overlap(sys.hier, op)
     _, u = gb.gen_signal(sys.hier, op, "smooth-1d", np.random.default_rng(0), overlap)
     c = gb.analyze(sys, u)
-    errs = [gb.energy_norm(op, u - gb.reconstruct(sys, c, upto=k)) for k in range(3, 8)]
+    errs = [energy_norm(op, u - gb.reconstruct(sys, c, upto=k)) for k in range(3, 8)]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
     ok = all(0.125 <= r <= 2 * 0.5 for r in ratios)
     detail = "successive error ratios " + ", ".join(f"{r:.4f}" for r in ratios) + " (in [0.125, 1.0])"
@@ -344,7 +348,7 @@ def test_criterion_10_noise_scaling_exponent(pde_1d_q8):
     levels, qv = [], []
     for sigma in sigmas:
         cfg = gb.DenoiseConfig(d=d, q=8, sigma=sigma, bound=1.0, h=h, s=s)
-        _, samples = gb.energy_growth_check(sys, op, cfg, 300, seed=7, return_samples=True)
+        samples = energy_growth_check(sys, op, cfg, 300, seed=7)
         levels.append(gb.select_level(cfg))
         qv.append(float(np.quantile(samples[:, 2], 0.95)))
     ratio = (qv[1] / qv[0]) ** (2 / (4 * s + d))
@@ -364,7 +368,7 @@ def test_criterion_11a_graph_recovery_beats_noise(grid_graph_run):
     rec = out.stats.stats["level-filter"].energy_avg
     noise = out.stats.noise_energy_avg
     ok = rec < noise
-    detail = f"level-filter energy error AVG {rec:.4e} < noise AVG {noise:.4e} (level {out.level})"
+    detail = f"level-filter energy error AVG {rec:.4e} < noise AVG {noise:.4e} (level {out.stats.level})"
     assert ok, report("11a", ok, detail)
     report("11a", ok, detail)
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamblets as gb
+from gamblets.numerics import chi_square_quantile
+from gamblets.transform import coefficient_energies, energy_norm
 
 RTOL = 1e-12
 ALPHA_RTOL = 1e-10  # the bisection stops at |g(alpha) - gamma| <= 1e-10 gamma
@@ -57,17 +59,17 @@ def test_transform_and_norms_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q
         for j in range(y.shape[1]):
             close(rec[:, j], gb.reconstruct(sys, gb.analyze(sys, y[:, j]), upto=upto))
     energy, l2 = gb.errors(op, u, y)
-    norms = gb.energy_norm(op, y)
-    energies = gb.coefficient_energies(sys, c)
+    norms = energy_norm(op, y)
+    energies = coefficient_energies(sys, c)
     for j in range(y.shape[1]):
         cj = gb.analyze(sys, y[:, j])
         for k in range(sys.q):
             close(c.levels[k][:, j], cj.levels[k])
-        close(energies[:, j], gb.coefficient_energies(sys, cj))
+        close(energies[:, j], coefficient_energies(sys, cj))
         e, m = gb.errors(op, u[:, j], y[:, j])
         close(energy[j], e)
         close(l2[j], m)
-        close(norms[j], gb.energy_norm(op, y[:, j]))
+        close(norms[j], energy_norm(op, y[:, j]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -75,7 +77,7 @@ def test_transform_and_norms_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q
 def test_estimators_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, seed, noise, t0):
     sys, op = sys_1d_rough_q4, op_1d_rough_q4
     cfg = gb.DenoiseConfig(d=1, q=sys.q, sigma=0.1)
-    gamma = 0.1 * np.sqrt(gb.chi_square_quantile(op.n, cfg.confidence))
+    gamma = 0.1 * np.sqrt(chi_square_quantile(op.n, cfg.confidence))
     _, y = make_block(op, seed, t, noise, gamma)
     results = [(gb.level_filter, (l,)) for l in range(sys.q + 1)]
     results += [(gb.hard_threshold, (t0, cfg)), (gb.soft_threshold, (t0, cfg))]

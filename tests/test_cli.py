@@ -110,6 +110,38 @@ def test_transform_with_cell_coefficient_csv(tmp_path, capsys):
     assert "built gamblet system" in stdout
 
 
+def test_transform_cache_follows_coefficient_bytes(tmp_path, capsys):
+    cells = tmp_path / "a.csv"
+    np.savetxt(cells, np.ones(16), delimiter=",")
+    out = tmp_path / "sys"
+    argv = ["transform", "--problem", "pde-1d", "--q", "4", "--coefficient", str(cells), "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    a4 = np.load(out / "system" / "a_4.npy")
+
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert "cache hit" in stdout
+
+    np.savetxt(cells, np.full(16, 5.0), delimiter=",")  # same path, new values
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert "cache hit" not in stdout
+    np.testing.assert_allclose(np.load(out / "system" / "a_4.npy"), 5.0 * a4, rtol=1e-12)
+
+
+def test_transform_rejects_non_numeric_coefficient_csv(tmp_path, capsys):
+    cells = tmp_path / "a.csv"
+    cells.write_text("1,2\nx,4\n")
+    code, _, stderr = run(
+        ["transform", "--problem", "pde-2d", "--q", "1", "--coefficient", str(cells),
+         "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.startswith("error:")
+    assert "a.csv" in stderr
+
+
 # ---------------------------------------------------------------------------
 # denoise
 

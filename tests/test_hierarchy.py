@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import gamblets as gb
 from gamblets import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
+from gamblets.hierarchy import hierarchy_from_json
 
 S = 1 / np.sqrt(2)
 
@@ -124,12 +125,12 @@ def test_rejects_unsupported_dimension():
 
 
 def test_json_round_trip(hier_1d_q4):
-    back = gb.hierarchy_from_json(hier_1d_q4.to_json())
+    back = hierarchy_from_json(hier_1d_q4.to_json())
     assert back.sizes == hier_1d_q4.sizes
     assert back.dim == hier_1d_q4.dim
     for k in range(1, back.q):
         assert_allclose(back.pi_of(k), hier_1d_q4.pi_of(k), atol=0)
-    assert back.sha256() == hier_1d_q4.sha256()
+    assert back.to_json() == hier_1d_q4.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def assert_same_hierarchy(back, h):
 @given(dim=st.integers(1, 2), q=st.integers(1, 4))
 def test_dyadic_recipe_rebuilds_bit_for_bit(dim, q):
     h = gb.build_dyadic(dim, q)
-    assert_same_hierarchy(gb.hierarchy_from_json(h.to_json()), h)
+    assert_same_hierarchy(hierarchy_from_json(h.to_json()), h)
 
 
 # Coordinates on the quarter grid repeat boxes across levels, so those
@@ -169,7 +170,7 @@ def test_points_recipe_rebuilds_bit_for_bit(data, dim, n, q):
     pts = np.array(data.draw(st.lists(_coordinate, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
     h = gb.build_from_points(pts, q)
     assert h.q + len(h.merged_levels) == q
-    assert_same_hierarchy(gb.hierarchy_from_json(h.to_json()), h)
+    assert_same_hierarchy(hierarchy_from_json(h.to_json()), h)
 
 
 @pytest.mark.parametrize(
@@ -182,10 +183,10 @@ def test_points_recipe_rebuilds_bit_for_bit(data, dim, n, q):
 )
 def test_recipe_rejects_malformed(doc, match):
     with pytest.raises(BadConfig, match=match):
-        gb.hierarchy_from_json(json.dumps(doc))
+        hierarchy_from_json(json.dumps(doc))
 
 
 def test_recipe_load_reruns_builder_checks():
     doc = {"kind": "points", "dim": 2, "q": 2, "coords": [[0.5, 1.5]]}
     with pytest.raises(EmptyPointSet, match="unit box"):
-        gb.hierarchy_from_json(json.dumps(doc))
+        hierarchy_from_json(json.dumps(doc))

@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2 as chi2_dist
 
-from gamblets import (
-    NotSPD,
-    InvalidProbability,
+from gamblets import NotSPD, InvalidProbability
+from gamblets.numerics import (
     cholesky,
     solve_spd,
     spd_inverse,

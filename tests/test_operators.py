@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import gamblets as gb
 from gamblets import BadConfig, DimensionMismatch, Disconnected
+from gamblets.operators import make_graph, measurement_overlap, parse_graph
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def test_fem_rejects_mismatched_hierarchy():
 # Graphs.
 
 def test_path_graph_grounded_laplacian():
-    g = gb.make_graph(np.array([[0, 0], [0.5, 0], [1, 0]]), np.array([[0, 1], [1, 2]]))
+    g = make_graph(np.array([[0, 0], [0.5, 0], [1, 0]]), np.array([[0, 1], [1, 2]]))
     op = gb.grounded_laplacian(g)
     assert_allclose(op.A, [[2, -1], [-1, 1]])
     assert op.kind == "graph"
@@ -100,7 +101,7 @@ def test_path_graph_grounded_laplacian():
 
 
 def test_single_edge_grounded_laplacian():
-    g = gb.make_graph(np.array([[0, 0], [1, 1]]), np.array([[0, 1]]))
+    g = make_graph(np.array([[0, 0], [1, 1]]), np.array([[0, 1]]))
     assert_allclose(gb.grounded_laplacian(g).A, [[1.0]])
 
 
@@ -125,25 +126,25 @@ def test_grounding_drops_named_vertex():
 def test_make_graph_rejects_bad_ground_and_edges():
     coords = np.array([[0, 0], [1, 1]])
     with pytest.raises(BadConfig):
-        gb.make_graph(coords, np.array([[0, 1]]), ground=5)
+        make_graph(coords, np.array([[0, 1]]), ground=5)
     with pytest.raises(BadConfig):
-        gb.make_graph(coords, np.array([[0, 2]]))
+        make_graph(coords, np.array([[0, 2]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_make_graph_rejects_non_finite_coordinates(bad):
     coords = np.array([[0.0, 0.0], [bad, 1.0], [1.0, 0.0]])
     with pytest.raises(BadConfig, match="finite"):
-        gb.make_graph(coords, np.array([[0, 1], [1, 2]]))
+        make_graph(coords, np.array([[0, 1], [1, 2]]))
     # a graph file reaches the same check through parse_graph
     with pytest.raises(BadConfig, match="finite"):
-        gb.parse_graph(f"3 2\n0 0 0\n1 {bad} 1\n2 1 0\n0 1\n1 2\n")
+        parse_graph(f"3 2\n0 0 0\n1 {bad} 1\n2 1 0\n0 1\n1 2\n")
 
 
 def test_disconnected_graph_rejected():
     coords = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
     with pytest.raises(Disconnected):
-        gb.grounded_laplacian(gb.make_graph(coords, np.array([[0, 1], [2, 3]])))
+        gb.grounded_laplacian(make_graph(coords, np.array([[0, 1], [2, 3]])))
 
 
 def test_parse_graph_round_trip():
@@ -155,7 +156,7 @@ def test_parse_graph_round_trip():
 0 1
 1 2
 """
-    g = gb.parse_graph(text)
+    g = parse_graph(text)
     assert g.n == 3
     assert_allclose(gb.grounded_laplacian(g).A, [[2, -1], [-1, 1]])
 
@@ -167,11 +168,15 @@ def test_parse_graph_round_trip():
         "3 2\n0 0 0\n1 1 1\n2 1 0\n0 1\n",  # edge count off
         "2 1\n0 0\n1 1 1\n0 1\n",  # vertex line too short
         "2 1\n0 0 0\n0 1 1\n0 1\n",  # repeated index
+        "2 x\n0 0 0\n1 1 1\n0 1\n",  # header count not a number
+        "2 1\n0 0 zero\n1 1 1\n0 1\n",  # vertex coordinate not a number
+        "2 1\n0 0 0\n1 1 1\n0 one\n",  # edge endpoint not a number
+        "-1 2\n0 1\n",  # negative vertex count
     ],
 )
 def test_parse_graph_rejects_malformed(text):
     with pytest.raises(BadConfig):
-        gb.parse_graph(text)
+        parse_graph(text)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def test_parse_graph_rejects_malformed(text):
 def test_overlap_constant_function_gives_tent_integrals():
     hier = gb.build_dyadic(1, 3)
     op = gb.assemble_fem(gb.coeff_1d(), hier)
-    o = gb.measurement_overlap(hier, op)
+    o = measurement_overlap(hier, op)
     w = 1 / hier.n_fine
     coeffs_of_one = np.full(hier.n_fine, np.sqrt(w))
     assert_allclose(o @ coeffs_of_one, np.full(op.n, op.mesh_width), rtol=1e-12)
@@ -189,7 +194,7 @@ def test_overlap_constant_function_gives_tent_integrals():
 def test_overlap_matches_quadrature_oracle():
     hier = gb.build_dyadic(1, 4)
     op = gb.assemble_fem(gb.coeff_1d(), hier)
-    o = gb.measurement_overlap(hier, op)
+    o = measurement_overlap(hier, op)
     n = hier.n_fine
     w = 1 / n
     rng = np.random.default_rng(9)
@@ -213,7 +218,7 @@ def test_overlap_matches_quadrature_oracle():
 def test_overlap_2d_constant_function():
     hier = gb.build_dyadic(2, 2)
     op = gb.assemble_fem(gb.coeff_unit(2), hier)
-    o = gb.measurement_overlap(hier, op)
+    o = measurement_overlap(hier, op)
     w = 1 / 4  # cells per axis = 4, area 1/16, coeff of f=1 is sqrt(area)
     coeffs_of_one = np.full(hier.n_fine, w)
     tent_volume = op.mesh_width ** 2  # product tent integrates to hm^2
