@@ -4,14 +4,15 @@ The continuum machinery carries over once two scale parameters are
 read off the transform itself: H, the per-level geometric decay of the
 detail-block spectra, and d_eff, the growth dimension of the detail
 index sets. estimate_H_d fits both by least squares, and
-select_level_graph plugs them into the level-selection rule in place
-of (h^s, d). denoise_graph is the end-to-end pipeline: ground, build a
-hierarchy from vertex coordinates, transform, fit the scales, then hand
-the fixed clean signal to the trial engine of denoise.py, which adds
-the noise and runs the level filter and a hard threshold that is the
-same on every level. The first trial's clean signal, noisy signal and
-recoveries come back in stats.first_realization, and the selected level
-in stats.level; the output holds no second copy of either.
+_graph_config puts them into a DenoiseConfig in place of (h^s, d), so
+that select_level of denoise.py picks the level. denoise_graph is the
+end-to-end pipeline: ground, build a hierarchy from vertex coordinates,
+transform, fit the scales, then hand the fixed clean signal to the
+trial engine of denoise.py, which adds the noise and runs the level
+filter and a hard threshold that is the same on every level. The first
+trial's clean signal, noisy signal and recoveries come back in
+stats.first_realization, and the selected level in stats.level; the
+output holds no second copy of either.
 
 Vertices are re-indexed internally to the hierarchy's fine-box order;
 everything returned to the caller is in the original vertex order.
@@ -29,7 +30,6 @@ from .denoise import (
     _require_finite,
     _smooth_2d,
     _trial_engine,
-    select_level,
 )
 from .errors import BadConfig, DimensionMismatch, GambletError, TooFewLevels
 from .hierarchy import build_from_points
@@ -96,11 +96,6 @@ def estimate_H_d(sys: GambletSystem) -> GraphScaleEstimate:
 
 def _graph_config(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> DenoiseConfig:
     return DenoiseConfig(d=est.d_eff, q=q, sigma=sigma, bound=bound, h=est.H)
-
-
-def select_level_graph(est: GraphScaleEstimate, sigma: float, bound: float, q: int) -> int:
-    """Level choice with (H, d_eff) substituted for (h^s, d)."""
-    return select_level(_graph_config(est, sigma, bound, q))
 
 
 @dataclass

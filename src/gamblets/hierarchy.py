@@ -5,7 +5,10 @@ pi^(k,k+1) and the detail selectors W^(k) for q levels of dyadic
 subdivision of [0,1]^dim, or for a coordinate-tagged point set binned
 into dyadic boxes. Measurement functions are normalized indicators
 (cells) or normalized sums (points); both give pi pi^T = I and
-W-rows spanning ker(pi) parent-locally.
+W-rows spanning ker(pi) parent-locally. In the dyadic case one child
+map, _children, lists each parent's children at every level, and
+build_dyadic writes the Haar rows over it, pi and W in one indexed
+assignment each, for both dimensions.
 
 The nested partition fixes pi and W, so a hierarchy is stored as its
 recipe (Hierarchy.to_json: kind, dim, requested q and, for points, the
@@ -30,8 +33,6 @@ from .errors import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
 from .numerics import DENSE_CAP
 
 log = logging.getLogger("gamblets")
-
-_SQ2 = np.sqrt(2.0)
 
 
 @dataclass
@@ -102,48 +103,26 @@ def hierarchy_from_json(text: str) -> Hierarchy:
     raise BadConfig(f"hierarchy recipe has unknown kind {doc['kind']!r}")
 
 
-def _dyadic_w_1d(k: int) -> np.ndarray:
-    """One detail row per parent: (1, -1)/sqrt(2) over its two children."""
-    n_par = 2 ** (k - 1)
-    w = np.zeros((n_par, 2 ** k))
-    for p in range(n_par):
-        w[p, 2 * p] = 1.0 / _SQ2
-        w[p, 2 * p + 1] = -1.0 / _SQ2
-    return w
+def _children(dim: int, k: int) -> np.ndarray:
+    """Level-k labels of the children of each level-(k-1) cell.
 
-# Three detail rows per 2D parent over children ordered (SW, SE, NW, NE).
-_W2_PATTERNS = np.array(
-    [
-        [1.0, -1.0, 1.0, -1.0],
-        [1.0, 1.0, -1.0, -1.0],
-        [1.0, -1.0, -1.0, 1.0],
-    ]
-) / 2.0
-
-
-def _dyadic_w_2d(k: int) -> np.ndarray:
-    n_par = 2 ** (k - 1)
-    n_child = 2 ** k
-    w = np.zeros((3 * n_par * n_par, n_child * n_child))
-    row = 0
-    for px in range(n_par):
-        for py in range(n_par):
-            # children (SW, SE, NW, NE) = offsets (0,0), (1,0), (0,1), (1,1)
-            cols = [
-                (2 * px + ax) * n_child + (2 * py + ay)
-                for ax, ay in ((0, 0), (1, 0), (0, 1), (1, 1))
-            ]
-            for r in range(3):
-                w[row, cols] = _W2_PATTERNS[r]
-                row += 1
-    return w
+    One row per parent in flat label order; the columns run over the
+    child offsets with the x offset fastest (SW, SE, NW, NE in 2D).
+    """
+    parents = np.unravel_index(np.arange(2 ** ((k - 1) * dim)), (2 ** (k - 1),) * dim)
+    offsets = np.unravel_index(np.arange(2 ** dim), (2,) * dim)[::-1]
+    child = tuple(2 * p[:, None] + o for p, o in zip(parents, offsets))
+    return np.ravel_multi_index(child, (2 ** k,) * dim)
 
 
 def build_dyadic(dim: int, q: int) -> Hierarchy:
     """Uniform dyadic hierarchy on [0,1]^dim with q levels.
 
-    |I^(k)| = 2^(k dim); pi entries are 1/sqrt(2^dim) between a parent
-    and each of its children; W rows are Haar detail vectors.
+    |I^(k)| = 2^(k dim). Over each parent's children (in _children
+    order) the rows of the dim-fold Kronecker power of [[1, 1], [1, -1]],
+    divided by sqrt(2^dim), are the Haar filters: the first is the
+    parent's pi row (1/sqrt(2^dim) on every child), the other 2^dim - 1
+    are its W rows.
     """
     if dim not in (1, 2):
         raise UnsupportedDim(f"dim must be 1 or 2, got {dim}")
@@ -153,26 +132,22 @@ def build_dyadic(dim: int, q: int) -> Hierarchy:
         raise TooLarge(f"fine level would have {2 ** (q * dim)} cells (cap {DENSE_CAP})")
 
     sizes = [2 ** (k * dim) for k in range(1, q + 1)]
+    haar = np.ones((1, 1))
+    for _ in range(dim):
+        haar = np.kron([[1.0, 1.0], [1.0, -1.0]], haar)
+    haar = haar / np.sqrt(2.0 ** dim)
+    n_det = 2 ** dim - 1
     pis = []
     ws = []
-    for k in range(1, q):
-        n_par = 2 ** k
-        n_child = 2 ** (k + 1)
-        if dim == 1:
-            pi = np.zeros((n_par, n_child))
-            for p in range(n_par):
-                pi[p, 2 * p] = pi[p, 2 * p + 1] = 1.0 / _SQ2
-        else:
-            pi = np.zeros((n_par * n_par, n_child * n_child))
-            for px in range(n_par):
-                for py in range(n_par):
-                    row = px * n_par + py
-                    for ax in (0, 1):
-                        for ay in (0, 1):
-                            pi[row, (2 * px + ax) * n_child + (2 * py + ay)] = 0.5
-        pis.append(pi)
     for k in range(2, q + 1):
-        ws.append(_dyadic_w_1d(k) if dim == 1 else _dyadic_w_2d(k))
+        ch = _children(dim, k)
+        parent = np.arange(len(ch))[:, None]
+        pi = np.zeros((len(ch), sizes[k - 1]))
+        pi[parent, ch] = haar[0]
+        w = np.zeros((n_det * len(ch), sizes[k - 1]))
+        w[(n_det * parent + np.arange(n_det))[:, :, None], ch[:, None, :]] = haar[1:]
+        pis.append(pi)
+        ws.append(w)
 
     return Hierarchy(dim=dim, q=q, kind="dyadic", sizes=sizes, pi=pis, w=ws)
 

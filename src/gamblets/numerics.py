@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra kernels.
 
 Everything here is deterministic for fixed inputs. Matrices are plain
-numpy arrays; symmetric matrices are kept exactly symmetric by
-construction (see symmetrize). Desk scale means N <= DENSE_CAP = 4096,
-so dense storage, factorizations and eigenvalue solves are the norm
-throughout the package: extreme_eigs is one LAPACK symmetric
-eigenvalue call at every order. The CSV helpers read and write the
+numpy arrays, and symmetric ones are exactly symmetric: the operators
+come out of their assembly that way (see operators._scatter), and
+products such as W A W^T go through symmetrize. Desk scale means
+N <= DENSE_CAP = 4096, so dense storage, factorizations and eigenvalue
+solves are the norm throughout the package: extreme_eigs is one LAPACK
+symmetric eigenvalue call at every order. The CSV helpers read and write the
 plain-text matrices users supply (per-cell coefficients); stored
 gamblet systems use .npy files instead (see transform.save_system).
 """

@@ -6,6 +6,14 @@ elements. One node is paired with each fine measurement cell, so a
 q-level hierarchy with 2^q cells per axis gets 2^q interior nodes per
 axis on a grid of mesh width 1/(2^q + 1); the measurement_overlap
 matrix absorbs the geometric offset between cells and tents.
+
+Every operator comes from one scatter, _scatter: the local matrices of
+the elements are summed over an element-by-node table in element order.
+An FEM element carries its Gauss-quadrature stiffness and mass, a graph
+edge is an element with local matrix [[1, -1], [-1, 1]], and node -1
+marks a node that is dropped (the Dirichlet boundary, or the grounded
+vertex). The sums come out exactly symmetric, so nothing is symmetrized
+afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .errors import (
     UnsupportedDim,
 )
 from .hierarchy import Hierarchy
-from .numerics import symmetrize
 
 # 3-point Gauss-Legendre rule on [0,1].
 _G3_X = (np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)]) + 1.0) / 2.0
@@ -34,6 +41,9 @@ _G3_W = np.array([5.0, 8.0, 5.0]) / 18.0
 # 2-point Gauss-Legendre rule on [0,1] (per axis of the 2x2 rule).
 _G2_X = (np.array([-1.0, 1.0]) / np.sqrt(3.0) + 1.0) / 2.0
 _G2_W = np.array([0.5, 0.5])
+
+# Local matrix of a two-node element: a graph edge, or a 1D element per unit stiffness.
+_PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -138,34 +148,40 @@ class DiscreteOperator:
         return self.A.shape[0]
 
 
+def _scatter(n: int, nodes: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Sum local matrices over an (E, m) node table into an n x n matrix.
+
+    local is (E, m, m), or one (m, m) matrix shared by every element.
+    Entry (a, b) of element e is added at (nodes[e, a], nodes[e, b]), in
+    element order; a row or column at node -1 (a dropped boundary node
+    or grounded vertex) is skipped. Symmetric local matrices give an exactly symmetric sum,
+    since entries (i, j) and (j, i) add the same numbers in the same order.
+    """
+    local = np.broadcast_to(local, nodes.shape + nodes.shape[-1:])
+    rows = np.broadcast_to(nodes[:, :, None], local.shape)
+    cols = np.broadcast_to(nodes[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((n, n))
+    np.add.at(out, (rows[keep], cols[keep]), local[keep])
+    return out
+
+
 def _fem_1d(field: CoefficientField, q: int) -> DiscreteOperator:
     n = 2 ** q
     hm = 1.0 / (n + 1)
-    # Element e = [e hm, (e+1) hm] couples nodes e-1 and e (0-based, boundary dropped).
+    # Element e = [e hm, (e+1) hm] couples nodes e-1 and e (0-based); the
+    # boundary nodes -1 and n are dropped.
     edges = np.arange(n + 1) * hm
     gx = edges[:, None] + hm * _G3_X[None, :]
     a_int = (field(gx) @ _G3_W) * hm  # integral of a over each element
     k_e = a_int / hm ** 2
-
-    A = np.zeros((n, n))
-    M = np.zeros((n, n))
-    m_diag, m_off = hm / 3.0, hm / 6.0
-    for e in range(n + 1):
-        left, right = e - 1, e
-        if left >= 0:
-            A[left, left] += k_e[e]
-            M[left, left] += m_diag
-        if right < n:
-            A[right, right] += k_e[e]
-            M[right, right] += m_diag
-        if left >= 0 and right < n:
-            A[left, right] -= k_e[e]
-            A[right, left] -= k_e[e]
-            M[left, right] += m_off
-            M[right, left] += m_off
+    nodes = np.arange(n + 1)[:, None] + np.array([-1, 0])
+    nodes[nodes == n] = -1
+    A = _scatter(n, nodes, k_e[:, None, None] * _PAIR)
+    M = _scatter(n, nodes, np.array([[hm / 3.0, hm / 6.0], [hm / 6.0, hm / 3.0]]))
     coords = ((np.arange(n) + 1) * hm).reshape(-1, 1)
     return DiscreteOperator(
-        A=symmetrize(A), mass=symmetrize(M), dim=1, q=q,
+        A=A, mass=M, dim=1, q=q,
         mesh_width=hm, kind="pde-1d", node_coords=coords,
     )
 
@@ -186,40 +202,27 @@ def _fem_2d(field: CoefficientField, q: int) -> DiscreteOperator:
         ]
     )  # (gauss, local node, xy), gradients on the reference square
 
-    A = np.zeros((N, N))
-    M = np.zeros((N, N))
-    # Local nodes of element (ex, ey): (ex-1+dx, ey-1+dy), dx, dy in {0,1},
-    # ordered (0,0), (0,1), (1,0), (1,1) to match shape above.
-    local_off = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for ex in range(n + 1):
-        for ey in range(n + 1):
-            nodes = []
-            for dx, dy in local_off:
-                jx, jy = ex - 1 + dx, ey - 1 + dy
-                nodes.append(jx * n + jy if 0 <= jx < n and 0 <= jy < n else -1)
-            ke = np.zeros((4, 4))
-            me = np.zeros((4, 4))
-            for g, (sx, sy) in enumerate(gp):
-                xg = (ex + sx) * hm
-                yg = (ey + sy) * hm
-                a_g = float(field(xg, yg))
-                grads = dshape[g] / hm  # physical gradients
-                ke += gw[g] * hm ** 2 * a_g * (grads @ grads.T)
-                me += gw[g] * hm ** 2 * np.outer(shape[g], shape[g])
-            for i_loc in range(4):
-                gi = nodes[i_loc]
-                if gi < 0:
-                    continue
-                for j_loc in range(4):
-                    gj = nodes[j_loc]
-                    if gj < 0:
-                        continue
-                    A[gi, gj] += ke[i_loc, j_loc]
-                    M[gi, gj] += me[i_loc, j_loc]
+    # Element e = ex (n+1) + ey has local nodes (ex-1+dx, ey-1+dy),
+    # dx, dy in {0,1}, ordered (0,0), (0,1), (1,0), (1,1) to match shape
+    # above; nodes on the boundary are dropped (-1).
+    ex, ey = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    jx = ex[:, None] - 1 + np.array([0, 0, 1, 1])
+    jy = ey[:, None] - 1 + np.array([0, 1, 0, 1])
+    nodes = np.where((jx >= 0) & (jx < n) & (jy >= 0) & (jy < n), jx * n + jy, -1)
+    gx, gy = np.array(gp).T
+    a_g = field((ex[:, None] + gx) * hm, (ey[:, None] + gy) * hm)  # (element, gauss)
+    ke = np.zeros((len(nodes), 4, 4))
+    me = np.zeros((4, 4))
+    for g in range(len(gp)):
+        grads = dshape[g] / hm  # physical gradients
+        ke += (gw[g] * hm ** 2 * a_g[:, g])[:, None, None] * (grads @ grads.T)
+        me += gw[g] * hm ** 2 * np.outer(shape[g], shape[g])
+    A = _scatter(N, nodes, ke)
+    M = _scatter(N, nodes, me)
     jx, jy = np.divmod(np.arange(N), n)
     coords = np.column_stack(((jx + 1) * hm, (jy + 1) * hm))
     return DiscreteOperator(
-        A=symmetrize(A), mass=symmetrize(M), dim=2, q=q,
+        A=A, mass=M, dim=2, q=q,
         mesh_width=hm, kind="pde-2d", node_coords=coords,
     )
 
@@ -330,15 +333,12 @@ def synthetic_grid(n: int, ground: int = 0) -> GeometricGraph:
     ix, iy = np.divmod(np.arange(n * n), n)
     denom = max(n - 1, 1)
     coords = np.column_stack((ix / denom, iy / denom))
-    edges = []
-    for x in range(n):
-        for y in range(n):
-            v = x * n + y
-            if y + 1 < n:
-                edges.append((v, v + 1))
-            if x + 1 < n:
-                edges.append((v, v + n))
-    return make_graph(coords, np.array(edges, dtype=int).reshape(-1, 2), ground=ground)
+    v = np.arange(n * n)
+    edges = np.concatenate((
+        np.column_stack((v, v + 1))[iy + 1 < n],
+        np.column_stack((v, v + n))[ix + 1 < n],
+    ))
+    return make_graph(coords, edges, ground=ground)
 
 
 def grounded_laplacian(g: GeometricGraph) -> DiscreteOperator:
@@ -353,16 +353,12 @@ def grounded_laplacian(g: GeometricGraph) -> DiscreteOperator:
         n_comp = n
     if n_comp != 1:
         raise Disconnected(f"graph has {n_comp} connected components; need 1")
-    L = np.zeros((n, n))
-    for i, j in g.edges:
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
-    keep = np.array([v for v in range(n) if v != g.ground])
-    A = L[np.ix_(keep, keep)]
+    keep = np.delete(np.arange(n), g.ground)
+    label = np.full(n, -1)  # the ground vertex is dropped like a Dirichlet node
+    label[keep] = np.arange(n - 1)
+    A = _scatter(n - 1, label[g.edges], _PAIR)
     return DiscreteOperator(
-        A=symmetrize(A), mass=np.eye(n - 1), dim=2, q=0,
+        A=A, mass=np.eye(n - 1), dim=2, q=0,
         mesh_width=None, kind="graph", node_coords=g.coords[keep],
     )
 

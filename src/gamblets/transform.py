@@ -132,6 +132,18 @@ def _truncate(m: np.ndarray, trunc: float) -> np.ndarray:
     return out
 
 
+def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
+    """B^(k) = W A^(k) W^T, its Cholesky factor, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k)."""
+    W = hier.w_of(k)
+    pi = hier.pi_of(k - 1)
+    WA = W @ Ak
+    B = symmetrize(WA @ W.T)
+    fB = cholesky(B)
+    Nk = solve_spd(fB, WA).T
+    R = pi - (pi @ Nk) @ W
+    return B, fB, Nk, R
+
+
 def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     """Gamblet transform of the operator's stiffness matrix.
 
@@ -156,13 +168,7 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     Ak = symmetrize(A)
     a_levels[q - 1] = Ak
     for k in range(q, 1, -1):
-        W = hier.w_of(k)
-        pi = hier.pi_of(k - 1)
-        WA = W @ Ak
-        B = symmetrize(WA @ W.T)
-        fB = cholesky(B)
-        Nk = solve_spd(fB, WA).T  # A^(k) W^T B^(k),-1
-        R = pi - (pi @ Nk) @ W
+        B, fB, Nk, R = _level_step(hier, k, Ak)
         R = _truncate(R, trunc)
         A_next = _truncate(symmetrize(R @ Ak @ R.T), trunc)
         b_levels[k - 1] = B
@@ -230,15 +236,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     n_levels: list[np.ndarray] = [None] * (q - 1)
     b_levels[0] = a_levels[0]
     for k in range(2, q + 1):
-        W = hier.w_of(k)
-        pi = hier.pi_of(k - 1)
-        Ak = a_levels[k - 1]
-        WA = W @ Ak
-        B = symmetrize(WA @ W.T)
-        Nk = solve_spd(cholesky(B), WA).T
-        b_levels[k - 1] = B
-        n_levels[k - 2] = Nk
-        r_levels[k - 2] = pi - (pi @ Nk) @ W
+        b_levels[k - 1], _, n_levels[k - 2], r_levels[k - 2] = _level_step(hier, k, a_levels[k - 1])
     return GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
         r_levels=r_levels, n_levels=n_levels, trunc=0.0,

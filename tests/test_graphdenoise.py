@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import gamblets as gb
 from gamblets import BadConfig, DimensionMismatch, TooFewLevels, graphdenoise
-from gamblets.graphdenoise import GRAPH_METHODS, estimate_H_d, select_level_graph
+from gamblets.denoise import select_level
+from gamblets.graphdenoise import GRAPH_METHODS, _graph_config, estimate_H_d
 from gamblets.numerics import cholesky, solve_spd
 from gamblets.operators import make_graph
 
@@ -52,8 +53,8 @@ def test_graph_level_rule_reduces_to_standard():
     est = gb.GraphScaleEstimate(
         H=0.5, d_eff=1.0, lambda_max=[], lambda_min=[], h_from_min=0.5
     )
-    assert select_level_graph(est, sigma=1e-3, bound=1.0, q=10) == 3
-    assert select_level_graph(est, sigma=0.0, bound=1.0, q=10) == 10
+    assert select_level(_graph_config(est, sigma=1e-3, bound=1.0, q=10)) == 3
+    assert select_level(_graph_config(est, sigma=0.0, bound=1.0, q=10)) == 10
 
 
 # ---------------------------------------------------------------------------

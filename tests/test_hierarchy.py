@@ -25,6 +25,20 @@ def test_dyadic_1d_q2_filters_frozen():
     assert_allclose(h.w_of(2), [[S, -S, 0, 0], [0, 0, S, -S]])
 
 
+def test_dyadic_2d_q2_filters_frozen():
+    h = gb.build_dyadic(2, 2)
+    # level-2 labels (flat ix * 4 + iy) of each parent's SW, SE, NW, NE child
+    children = [[0, 4, 1, 5], [2, 6, 3, 7], [8, 12, 9, 13], [10, 14, 11, 15]]
+    patterns = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    pi = np.zeros((4, 16))
+    w = np.zeros((12, 16))
+    for p, cols in enumerate(children):
+        pi[p, cols] = 0.5
+        w[3 * p : 3 * p + 3, cols] = patterns
+    np.testing.assert_array_equal(h.pi_of(1), pi)
+    np.testing.assert_array_equal(h.w_of(2), w)
+
+
 def test_dyadic_2d_q2_shapes():
     h = gb.build_dyadic(2, 2)
     assert h.sizes == [4, 16]

@@ -67,6 +67,21 @@ def test_fem_1d_unit_q2_closed_form():
     assert op.node_coords.shape == (4, 1)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_fem_2d_unit_closed_form(q):
+    # Bilinear elements on a uniform grid, all neighbours interior or dropped:
+    # stiffness (8 on the diagonal, -1 on each of the 8 neighbours)/3,
+    # mass h^2/36 (16 on the diagonal, 4 on the edge and 1 on the corner neighbours).
+    op = gb.assemble_fem(gb.coeff_unit(2), gb.build_dyadic(2, q))
+    n = 2 ** q
+    h = 1 / (n + 1)
+    assert op.mesh_width == pytest.approx(h)
+    band = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)  # self and both 1D neighbours
+    assert_allclose(op.A, (9 * np.eye(n * n) - np.kron(band, band)) / 3, rtol=1e-12, atol=1e-12)
+    t = 4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    assert_allclose(op.mass, h ** 2 / 36 * np.kron(t, t), rtol=1e-12, atol=1e-16)
+
+
 def test_fem_scales_linearly_in_coefficient():
     hier = gb.build_dyadic(1, 3)
     a1 = gb.assemble_fem(gb.coeff_from_cells(np.full(8, 1.0), 1), hier).A
@@ -82,6 +97,22 @@ def test_fem_rough_spd(dim, q):
     assert_allclose(op.A, op.A.T)
     assert np.linalg.eigvalsh(op.A).min() > 0
     assert np.linalg.eigvalsh(op.mass).min() > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gb.assemble_fem(gb.coeff_1d(), gb.build_dyadic(1, 6)),
+        lambda: gb.assemble_fem(gb.coeff_2d(), gb.build_dyadic(2, 4)),
+        lambda: gb.grounded_laplacian(gb.synthetic_grid(32)),
+    ],
+    ids=["fem-1d", "fem-2d", "grid32"],
+)
+def test_assembled_operators_exactly_symmetric(make):
+    # symmetric local matrices scattered in element order: no symmetrize needed
+    op = make()
+    assert np.array_equal(op.A, op.A.T)
+    assert np.array_equal(op.mass, op.mass.T)
 
 
 def test_fem_rejects_mismatched_hierarchy():
