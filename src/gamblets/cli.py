@@ -13,11 +13,12 @@ Subcommands:
   manifest fields.
 * ``selftest`` exercises the core identities on small problems.
 
-Options come from an optional ``key = value`` config file plus flags;
-flags win. Every output file is written deterministically (fixed float
-formatting, sorted JSON keys, no timestamps), so reruns with identical
-inputs and the same BLAS thread count are byte-identical; a different
-thread count can change the last digits of the numbers. The
+Options of ``transform``, ``denoise`` and ``graph`` come from an
+optional ``key = value`` config file plus flags; flags win. ``selftest``
+takes no options. Every output file is written deterministically (fixed
+float formatting, sorted JSON keys, no timestamps), so reruns with
+identical inputs and the same BLAS thread count are byte-identical; a
+different thread count can change the last digits of the numbers. The
 ``GAMBLET_LOG`` environment variable sets the logging level.
 """
 
@@ -400,9 +401,8 @@ def cmd_graph(cfg: ExperimentConfig) -> int:
 # Self test.
 
 def _selftest_checks():
-    from .numerics import extreme_eigs
+    from .numerics import cholesky, extreme_eigs, solve_spd
     from .transform import analyze, oracle_transform, reconstruct, solve, z_matrix
-    from .numerics import cholesky, solve_spd
 
     def identity_vs_oracle():
         hier = build_dyadic(1, 3)
@@ -537,7 +537,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_graph)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant checks")
-    _add_common(sp)
     sp.set_defaults(func=cmd_selftest)
     return p
 

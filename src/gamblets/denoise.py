@@ -49,7 +49,7 @@ from .errors import (
     LevelZero,
     NoBracketWarning,
 )
-from .numerics import CholFactor, chi_square_quantile, cholesky, solve_spd, symmetrize
+from .numerics import CholFactor, _check_square_symmetric, chi_square_quantile, cholesky, solve_spd
 from .operators import _G3_W, _G3_X, measurement_overlap
 from .transform import (
     GambletSystem,
@@ -348,8 +348,10 @@ def regularize(
 
     For an (N, T) block every column is solved in the one eigenbasis of
     A; alpha is then a (T,) array, NaN where the zero vector is returned.
+    A must be finite (else BadConfig) and exactly symmetric (else NotSPD).
     """
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
+    _check_square_symmetric(A, "operator")
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
     if y.ndim not in (1, 2) or y.shape[0] != n:
@@ -371,7 +373,7 @@ def regularize(
         alpha[live] = 0.0
         energy[live] = energy_norm(A, ys[:, live])
     elif live.any():
-        lam, vecs = np.linalg.eigh(symmetrize(A))
+        lam, vecs = np.linalg.eigh(A)
         yhat = vecs.T @ ys[:, live]
         a, unreached = _secular_alpha(lam, yhat, gamma)
         if unreached.any():

@@ -1,14 +1,15 @@
 """Dense symmetric linear algebra kernels.
 
 Everything here is deterministic for fixed inputs. Matrices are plain
-numpy arrays, and symmetric ones are exactly symmetric: the operators
-come out of their assembly that way (see operators._scatter), and
-products such as W A W^T go through symmetrize. Desk scale means
-N <= DENSE_CAP = 4096, so dense storage, factorizations and eigenvalue
-solves are the norm throughout the package: extreme_eigs is one LAPACK
-symmetric eigenvalue call at every order. The CSV helpers read and write the
-plain-text matrices users supply (per-cell coefficients); stored
-gamblet systems use .npy files instead (see transform.save_system).
+numpy arrays. Symmetric means finite and exactly symmetric (m == m.T),
+which the kernels check rather than average in: the operators are
+assembled so (see operators._scatter), and only products the package
+forms (B, A^(k-1), Theta, inverses, Z) go through symmetrize. Desk
+scale is N <= DENSE_CAP = 4096, so dense factorizations and eigenvalue
+solves are the norm: extreme_eigs is one LAPACK symmetric eigenvalue
+call. The CSV helpers read and write the plain-text matrices users
+supply (per-cell coefficients); stored systems use .npy files instead
+(see transform.save_system).
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 def _check_square_symmetric(m: np.ndarray, what: str = "matrix") -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))):
-        raise NotSPD(f"{what} is not symmetric")
+    if not np.isfinite(m).all():
+        raise BadConfig(f"{what} has a non-finite entry")
+    if not np.array_equal(m, m.T):
+        raise NotSPD(f"{what} is not exactly symmetric (call numerics.symmetrize first)")
 
 
 @dataclass(frozen=True)

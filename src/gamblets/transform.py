@@ -4,9 +4,11 @@ transform() runs the level-by-level recursion: for k = q..2 it forms
 the detail Gram matrix B^(k) = W A^(k) W^T, the dual-update matrix
 N^(k) = A^(k) W^T B^(k),-1, the coarsening map
 R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
-A^(k-1) = R A^(k) R^T, and an exact system is then checked against
-its construction identities to the fixed CONSTRUCTION_TOL. An operator
-whose size differs from the hierarchy's raises DimensionMismatch.
+A^(k-1) = R A^(k) R^T. An exact system is then checked, to the fixed
+CONSTRUCTION_TOL, against W N = I, true only if B = W A W^T, and against
+A^(k-1) = R A pi^T, true only if the coarse gamblets are A-orthogonal
+to the details (R A W^T = 0). The operator must be finite, exactly
+symmetric and of the hierarchy's size.
 oracle_transform() computes every A^(k) independently by inverting the
 measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists
 purely to cross-check the recursion, and like z_matrix() it is imported
@@ -38,6 +40,7 @@ from .hierarchy import Hierarchy, hierarchy_from_json
 from .numerics import (
     DENSE_CAP,
     CholFactor,
+    _check_square_symmetric,
     cholesky,
     solve_spd,
     spd_inverse,
@@ -145,16 +148,17 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
 
 
 def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
-    """Gamblet transform of the operator's stiffness matrix.
+    """Gamblet transform of a finite (else BadConfig), exactly symmetric (else NotSPD) operator.
 
-    When trunc > 0, entries of each freshly computed A^(k-1) and
-    R^(k-1,k) smaller than trunc times the matrix's max magnitude are
-    dropped (the fine-basis expansions decay exponentially, so this is
-    a controlled sparsification; trunc = 0 is exact).
+    A^(q) is the caller's matrix itself. When trunc > 0, entries of each
+    new A^(k-1) and R^(k-1,k) below trunc times the matrix's max magnitude
+    are dropped (the fine-basis expansions decay exponentially, so this
+    is a controlled sparsification; trunc = 0 is exact).
     """
     if not 0.0 <= trunc < np.inf:
         raise BadConfig(f"trunc must be finite and >= 0, got {trunc}")
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
+    _check_square_symmetric(A, "operator")
     if A.shape[0] != hier.n_fine:
         raise DimensionMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
     q = hier.q
@@ -165,18 +169,11 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     n_levels: list[np.ndarray] = [None] * (q - 1)
     b_factors: list[CholFactor | None] = [None] * q
 
-    Ak = symmetrize(A)
-    a_levels[q - 1] = Ak
+    a_levels[q - 1] = Ak = A
     for k in range(q, 1, -1):
-        B, fB, Nk, R = _level_step(hier, k, Ak)
-        R = _truncate(R, trunc)
-        A_next = _truncate(symmetrize(R @ Ak @ R.T), trunc)
-        b_levels[k - 1] = B
-        b_factors[k - 1] = fB
-        n_levels[k - 2] = Nk
-        r_levels[k - 2] = R
-        a_levels[k - 2] = A_next
-        Ak = A_next
+        b_levels[k - 1], b_factors[k - 1], n_levels[k - 2], R = _level_step(hier, k, Ak)
+        r_levels[k - 2] = R = _truncate(R, trunc)
+        a_levels[k - 2] = Ak = _truncate(symmetrize(R @ Ak @ R.T), trunc)
     b_levels[0] = a_levels[0]
     b_factors[0] = cholesky(a_levels[0])
 
@@ -191,23 +188,22 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
 
 
 def validate_system(sys: GambletSystem) -> None:
-    """Assert the construction identities of an exact (trunc = 0) system to CONSTRUCTION_TOL."""
+    """Check W N = I and A^(k-1) = R A pi^T per level of an exact (trunc = 0) system.
+
+    Recomputing W A W^T or R A R^T would repeat the recursion and could not fail. N was
+    solved with B, so W N = I certifies B = W A W^T; R A pi^T = R A R^T only if R A W^T = 0.
+    """
     if sys.trunc != 0.0:
         raise BadConfig("validate_system needs an exact (trunc = 0) system")
     hier = sys.hier
     for k in range(2, sys.q + 1):
-        W = hier.w_of(k)
-        Ak = sys.a_of(k)
-        scale = max(1.0, float(np.abs(Ak).max()))
-        b_err = np.abs(W @ Ak @ W.T - sys.b_of(k)).max()
-        if b_err > CONSTRUCTION_TOL * scale:
-            raise GambletError(f"B^({k}) != W A W^T (max dev {b_err:.2e})")
-        a_err = np.abs(sys.r_of(k) @ Ak @ sys.r_of(k).T - sys.a_of(k - 1)).max()
-        if a_err > CONSTRUCTION_TOL * scale:
-            raise GambletError(f"A^({k - 1}) != R A R^T (max dev {a_err:.2e})")
-        wn_err = np.abs(W @ sys.n_of(k) - np.eye(hier.j_size(k))).max()
-        if wn_err > CONSTRUCTION_TOL * max(1.0, float(np.abs(sys.n_of(k)).max())):
+        Nk, Ak = sys.n_of(k), sys.a_of(k)
+        wn_err = np.abs(hier.w_of(k) @ Nk - np.eye(hier.j_size(k))).max()
+        if wn_err > CONSTRUCTION_TOL * max(1.0, float(np.abs(Nk).max())):
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
+        a_err = np.abs(sys.r_of(k) @ Ak @ hier.pi_of(k - 1).T - sys.a_of(k - 1)).max()
+        if a_err > CONSTRUCTION_TOL * float(np.abs(Ak).max()):
+            raise GambletError(f"A^({k - 1}) != R A pi^T (max dev {a_err:.2e})")
 
 
 def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
@@ -224,9 +220,9 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
         raise TooLarge(f"oracle inversion capped at {DENSE_CAP}, got {A.shape[0]}")
     q = hier.q
 
-    theta = spd_inverse(symmetrize(A))
+    theta = spd_inverse(A)
     a_levels: list[np.ndarray] = [None] * q
-    a_levels[q - 1] = symmetrize(A)
+    a_levels[q - 1] = A
     for k in range(q - 1, 0, -1):
         theta = symmetrize(hier.pi_of(k) @ theta @ hier.pi_of(k).T)
         a_levels[k - 1] = spd_inverse(theta)

@@ -402,6 +402,12 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in stdout
 
 
+def test_selftest_takes_no_options():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--q", "3"])
+    assert exc.value.code == 2
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

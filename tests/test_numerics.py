@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2 as chi2_dist
 
-from gamblets import NotSPD, InvalidProbability
+import gamblets as gb
+from gamblets import BadConfig, NotSPD, InvalidProbability
 from gamblets.numerics import (
     cholesky,
     solve_spd,
@@ -42,6 +43,28 @@ def test_cholesky_rejects_indefinite():
 def test_cholesky_rejects_nonsymmetric():
     with pytest.raises(NotSPD):
         cholesky(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    # Symmetric means exactly symmetric: one ulp off is refused, not averaged.
+    a = random_spd(8, 0)
+    a[0, 1] = np.nextafter(a[0, 1], np.inf)
+    with pytest.raises(NotSPD):
+        cholesky(a)
+    with pytest.raises(NotSPD):
+        gb.transform(a, gb.build_dyadic(1, 3))
+    with pytest.raises(NotSPD):
+        gb.regularize(a, np.ones(8), sigma=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["transform", "regularize"])
+def test_non_finite_operator_raises(call, bad):
+    hier = gb.build_dyadic(1, 3)
+    a = gb.assemble_fem(gb.coeff_1d(), hier).A.copy()
+    a[3, 3] = bad
+    with pytest.raises(BadConfig, match="operator has a non-finite entry"):
+        if call == "transform":
+            gb.transform(a, hier)
+        else:
+            gb.regularize(a, np.ones(8), sigma=0.1)
 
 
 def test_tridiagonal_inverse_first_column():

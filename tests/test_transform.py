@@ -5,11 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gamblets as gb
 from gamblets import BadConfig, DimensionMismatch, GambletError
-from gamblets.numerics import extreme_eigs
+from gamblets.numerics import cholesky, extreme_eigs, solve_spd, symmetrize
 from gamblets.transform import (
     coefficient_energies,
     energy_norm,
@@ -74,6 +76,33 @@ def test_validate_system_catches_tampering(op_1d_rough_q4, hier_1d_q4):
         validate_system(sys)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_validate_system_rejects_non_orthogonal_gamblets(op_1d_rough_q4, hier_1d_q4, scale):
+    """A top level that keeps W N = I but breaks R A W^T = 0 is refused.
+
+    Adding pi^T M to N^(4) leaves W N = I, because W pi^T = 0. R and A^(3)
+    are then formed from that N as the recursion forms them, and levels
+    1..3 are an exact transform of that A^(3), so only the A-orthogonality
+    of the coarse gamblets to the details is broken. The tolerance scales
+    with A, so an operator with entries far below 1 is held to it too.
+    """
+    sys = gb.transform(scale * op_1d_rough_q4.A, hier_1d_q4)
+    pi, W, A4 = hier_1d_q4.pi_of(3), hier_1d_q4.w_of(4), sys.a_of(4)
+    M = np.random.default_rng(0).standard_normal((pi.shape[0], W.shape[0]))
+    N4 = sys.n_of(4) + 1e-3 * pi.T @ M
+    R = pi - pi @ N4 @ W
+    coarse = gb.transform(symmetrize(R @ A4 @ R.T), gb.build_dyadic(1, 3))
+    bad = gb.GambletSystem(
+        hier=hier_1d_q4,
+        a_levels=coarse.a_levels + [A4],
+        b_levels=coarse.b_levels + [sys.b_of(4)],
+        r_levels=coarse.r_levels + [R],
+        n_levels=coarse.n_levels + [N4],
+    )
+    with pytest.raises(GambletError, match=r"A\^\(3\) != R A pi\^T"):
+        validate_system(bad)
+
+
 def test_validate_system_refuses_truncated(op_1d_rough_q4, hier_1d_q4):
     sys = gb.transform(op_1d_rough_q4, hier_1d_q4, trunc=1e-3)
     with pytest.raises(BadConfig, match="trunc = 0"):
@@ -95,6 +124,34 @@ def test_transform_rejects_bad_trunc(op_1d_rough_q4, hier_1d_q4, trunc):
 def test_transform_rejects_wrong_size(hier_1d_q4):
     with pytest.raises(DimensionMismatch):
         gb.transform(np.eye(7), hier_1d_q4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(10, 200),
+    dim=st.sampled_from([1, 2]),
+    q=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identities_on_random_spd_over_random_points(n, dim, q, seed):
+    """The gamblet identities for A = M M^T + 0.1 n I on a random point hierarchy."""
+    rng = np.random.default_rng(seed)
+    hier = gb.build_from_points(rng.random((n, dim)), q)
+    size = hier.n_fine
+    m = rng.standard_normal((size, size))
+    A = m @ m.T + 0.1 * size * np.eye(size)
+    sys = gb.transform(A, hier)
+    validate_system(sys)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    y = rng.standard_normal((size, 3))
+    c = gb.analyze(sys, y)
+    assert rel(gb.reconstruct(sys, c), y) <= 1e-12
+    assert rel(np.sum(coefficient_energies(sys, c), axis=0), energy_norm(A, y) ** 2) <= 1e-12
+    f = rng.standard_normal(size)
+    assert rel(gb.solve(sys, f), solve_spd(cholesky(A), f)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
