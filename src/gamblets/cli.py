@@ -14,12 +14,17 @@ Subcommands:
 * ``selftest`` exercises the core identities on small problems.
 
 Options of ``transform``, ``denoise`` and ``graph`` come from an
-optional ``key = value`` config file plus flags; flags win. ``selftest``
-takes no options. Every output file is written deterministically (fixed
-float formatting, sorted JSON keys, no timestamps), so reruns with
-identical inputs and the same BLAS thread count are byte-identical; a
-different thread count can change the last digits of the numbers. The
-``GAMBLET_LOG`` environment variable sets the logging level.
+optional ``key = value`` config file plus flags; flags win. One table,
+``OPTIONS``, names each option's type and the subcommands that read it;
+a subcommand accepts exactly those flags and config keys, and its
+manifest's ``config`` records exactly those keys. ``sigma`` and
+``sigma_rms``, and ``graph_file`` and ``synthetic_grid``, exclude each
+other. ``selftest`` takes no options. Every output file is written
+deterministically (fixed float formatting, sorted JSON keys, no
+timestamps), so reruns with identical inputs and the same BLAS thread
+count are byte-identical; a different thread count can change the last
+digits of the numbers. The ``GAMBLET_LOG`` environment variable sets the
+logging level.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import json
 import logging
 import os
 import sys as _sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +57,45 @@ from .transform import _file_sha256, save_system, transform, verify_system
 
 log = logging.getLogger("gamblets")
 
-PROBLEMS = ("pde-1d", "pde-2d", "graph")
+PROBLEMS = ("pde-1d", "pde-2d")
+
+
+class _Option(NamedTuple):
+    key: str
+    type: type
+    commands: tuple[str, ...]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_ALL = ("transform", "denoise", "graph")
+_RUNS = ("denoise", "graph")
+_PDE = ("transform", "denoise")
+
+# Every option of every subcommand: its flag is --key (with '-' for '_'),
+# its config-file key is key, and only the listed subcommands accept it.
+OPTIONS = (
+    _Option("out", str, _ALL, "output directory"),
+    _Option("q", int, _ALL, "number of hierarchy levels"),
+    _Option("seed", int, _RUNS, "base seed for all randomness"),
+    _Option("trials", int, _RUNS, "number of noise realizations"),
+    _Option("sigma", float, _RUNS, "noise standard deviation"),
+    _Option("problem", str, _PDE, "problem kind", PROBLEMS),
+    _Option("coefficient", str, _PDE, "conductivity: 'rough', 'unit', or a CSV of per-cell values"),
+    _Option("bound", float, ("denoise",), "prior bound M on the source energy"),
+    _Option("signal", str, ("denoise",), "signal model", dn.SIGNAL_MODES),
+    _Option("methods", str, ("denoise",), "comma-separated method subset (default: all)"),
+    _Option("t0", float, ("denoise",), "fixed threshold base (skips tuning)"),
+    _Option("confidence", float, ("denoise",), "regularization confidence level"),
+    _Option("graph_file", str, ("graph",), "plain-text graph file (header 'N M')"),
+    _Option("synthetic_grid", int, ("graph",), "n for an n x n grid graph"),
+    _Option("ground", int, ("graph",), "index of the grounded vertex"),
+    _Option("sigma_rms", float, ("graph",), "sigma as a multiple of the signal RMS"),
+)
+_KEYS = {cmd: tuple(o.key for o in OPTIONS if cmd in o.commands) for cmd in _ALL}
+_TYPES = {o.key: o.type for o in OPTIONS}
+# Pairs of keys that set one thing two ways; giving both is an error.
+_EXCLUSIVE = (("sigma", "sigma_rms"), ("graph_file", "synthetic_grid"))
 
 
 @dataclass
@@ -64,7 +108,6 @@ class ExperimentConfig:
     seed: int = 1
     coefficient: str = "rough"
     out: str = "out"
-    trunc: float = 0.0
     signal: str | None = None
     methods: str | None = None
     confidence: float = 0.95
@@ -75,11 +118,12 @@ class ExperimentConfig:
     sigma_rms: float | None = None
 
     def __post_init__(self):
-        dn._require_finite(
-            sigma=self.sigma, bound=self.bound, trunc=self.trunc, t0=self.t0, sigma_rms=self.sigma_rms
-        )
+        dn._require_finite(sigma=self.sigma, bound=self.bound, t0=self.t0, sigma_rms=self.sigma_rms)
         if self.problem not in PROBLEMS:
-            raise BadConfig(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+            raise BadConfig(
+                f"problem must be one of {PROBLEMS} (graphs go through the graph subcommand), "
+                f"got {self.problem!r}"
+            )
         if self.q < 1:
             raise BadConfig(f"q must be >= 1, got {self.q}")
         if self.sigma < 0:
@@ -88,8 +132,6 @@ class ExperimentConfig:
             raise BadConfig(f"bound must be > 0, got {self.bound}")
         if self.trials < 1:
             raise BadConfig(f"trials must be >= 1, got {self.trials}")
-        if self.trunc < 0:
-            raise BadConfig(f"trunc must be >= 0, got {self.trunc}")
         if not 0.0 < self.confidence < 1.0:
             raise BadConfig(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.t0 is not None and self.t0 < 0:
@@ -106,23 +148,9 @@ class ExperimentConfig:
             return None
         return [m.strip() for m in self.methods.split(",") if m.strip()]
 
-    def as_record(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _parsers() -> dict:
-    out = {}
-    for f in fields(ExperimentConfig):
-        if f.name in ("q", "trials", "seed", "synthetic_grid", "ground"):
-            out[f.name] = int
-        elif f.name in ("sigma", "bound", "trunc", "confidence", "t0", "sigma_rms"):
-            out[f.name] = float
-        else:
-            out[f.name] = str
-    return out
-
-
-_PARSERS = _parsers()
+    def as_record(self, command: str) -> dict:
+        """The options the command reads, which are all that can have taken effect."""
+        return {key: getattr(self, key) for key in _KEYS[command]}
 
 
 def parse_config_file(path) -> dict:
@@ -138,24 +166,30 @@ def parse_config_file(path) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _PARSERS:
+            if key not in _TYPES:
                 raise BadConfig(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _PARSERS[key](val)
+                values[key] = _TYPES[key](val)
             except ValueError:
                 raise BadConfig(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's values overridden by the flags given; keys the command does not read raise."""
+    keys = _KEYS[args.command]
     values: dict = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        values.update(parse_config_file(cfg_path))
-    for key in _PARSERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    if args.config:
+        values.update(parse_config_file(args.config))
+        for key in values:
+            if key not in keys:
+                raise BadConfig(
+                    f"{args.config}: config key {key!r} is not read by the {args.command} subcommand"
+                )
+    values.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    for pair in _EXCLUSIVE:
+        if all(values.get(key) is not None for key in pair):
+            raise BadConfig(f"{pair[0]} and {pair[1]} exclude each other; give one of them")
     return ExperimentConfig(**values)
 
 
@@ -275,7 +309,7 @@ def _write_run(
         os.path.join(cfg.out, "manifest.json"),
         {
             "command": command,
-            "config": cfg.as_record(),
+            "config": cfg.as_record(command),
             **extra,
             "results": "results.csv",
             "realization": "realization0.csv",
@@ -296,7 +330,6 @@ def _system_key(cfg: ExperimentConfig) -> dict:
         "problem": cfg.problem,
         "q": cfg.q,
         "coefficient": cfg.coefficient,
-        "trunc": cfg.trunc,
     }
     if cfg.coefficient not in ("rough", "unit"):
         key["coefficient_sha256"] = _file_sha256(cfg.coefficient)
@@ -304,8 +337,6 @@ def _system_key(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_transform(cfg: ExperimentConfig) -> int:
-    if cfg.problem == "graph":
-        raise BadConfig("the transform subcommand handles PDE problems; use the graph subcommand")
     manifest_path = os.path.join(cfg.out, "manifest.json")
     sys_dir = os.path.join(cfg.out, "system")
     key = _system_key(cfg)
@@ -320,14 +351,14 @@ def cmd_transform(cfg: ExperimentConfig) -> int:
             print(f"cache hit: gamblet system already present in {cfg.out}")
             return 0
     _, hier, op = _build_pde(cfg)
-    sys = transform(op, hier, trunc=cfg.trunc)
+    sys = transform(op, hier)
     os.makedirs(cfg.out, exist_ok=True)
     save_system(sys, sys_dir)
     _write_json(
         manifest_path,
         {
             "command": "transform",
-            "config": cfg.as_record(),
+            "config": cfg.as_record("transform"),
             "system_key": key,
             "sizes": hier.sizes,
             "j_sizes": hier.j_sizes,
@@ -340,10 +371,8 @@ def cmd_transform(cfg: ExperimentConfig) -> int:
 
 
 def cmd_denoise(cfg: ExperimentConfig) -> int:
-    if cfg.problem == "graph":
-        raise BadConfig("use the graph subcommand for graph problems")
     field, hier, op = _build_pde(cfg)
-    sys = transform(op, hier, trunc=cfg.trunc)
+    sys = transform(op, hier)
     dcfg = dn.DenoiseConfig(
         d=hier.dim,
         q=cfg.q,
@@ -466,7 +495,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(cfg: ExperimentConfig) -> int:
+def cmd_selftest() -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -486,20 +515,11 @@ def cmd_selftest(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="path to a key = value config file")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--seed", type=int, help="base seed for all randomness")
-    sp.add_argument("--trunc", type=float, help="transform truncation tolerance (0 = exact)")
-    sp.add_argument("--q", type=int, help="number of hierarchy levels")
-
-
-def _add_pde(sp) -> None:
-    sp.add_argument("--problem", choices=("pde-1d", "pde-2d"), help="problem kind")
-    sp.add_argument(
-        "--coefficient",
-        help="conductivity: 'rough', 'unit', or a CSV of per-cell values",
-    )
+_COMMANDS = {
+    "transform": (cmd_transform, "build and store a gamblet system"),
+    "denoise": (cmd_denoise, "run the estimator comparison on a PDE problem"),
+    "graph": (cmd_graph, "run the graph pipeline"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -508,36 +528,14 @@ def _parser() -> argparse.ArgumentParser:
         description="operator-adapted multiresolution analysis and de-noising",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("transform", help="build and store a gamblet system")
-    _add_common(sp)
-    _add_pde(sp)
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("denoise", help="run the estimator comparison on a PDE problem")
-    _add_common(sp)
-    _add_pde(sp)
-    sp.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
-    sp.add_argument("--sigma", type=float, help="noise standard deviation")
-    sp.add_argument("--bound", type=float, help="prior bound M on the source energy")
-    sp.add_argument("--signal", choices=dn.SIGNAL_MODES, help="signal model")
-    sp.add_argument("--methods", help="comma-separated method subset (default: all)")
-    sp.add_argument("--t0", type=float, help="fixed threshold base (skips tuning)")
-    sp.add_argument("--confidence", type=float, help="regularization confidence level")
-    sp.set_defaults(func=cmd_denoise)
-
-    sp = sub.add_parser("graph", help="run the graph pipeline")
-    _add_common(sp)
-    sp.add_argument("--graph-file", help="plain-text graph file (header 'N M')")
-    sp.add_argument("--synthetic-grid", type=int, help="n for an n x n grid graph")
-    sp.add_argument("--ground", type=int, help="index of the grounded vertex")
-    sp.add_argument("--trials", type=int, help="number of noise realizations")
-    sp.add_argument("--sigma", type=float, help="noise standard deviation")
-    sp.add_argument("--sigma-rms", type=float, help="sigma as a multiple of the signal RMS")
-    sp.set_defaults(func=cmd_graph)
-
-    sp = sub.add_parser("selftest", help="run the built-in invariant checks")
-    sp.set_defaults(func=cmd_selftest)
+    for command, (func, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="path to a key = value config file")
+        for o in OPTIONS:
+            if command in o.commands:
+                sp.add_argument("--" + o.key.replace("_", "-"), type=o.type, choices=o.choices, help=o.help)
+        sp.set_defaults(func=func)
+    sub.add_parser("selftest", help="run the built-in invariant checks")
     return p
 
 
@@ -552,9 +550,10 @@ def _setup_logging() -> None:
 def main(argv=None) -> int:
     _setup_logging()
     args = _parser().parse_args(argv)
+    if args.command == "selftest":
+        return cmd_selftest()
     try:
-        cfg = resolve_config(args)
-        return args.func(cfg)
+        return args.func(resolve_config(args))
     except (GambletError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -4,7 +4,7 @@ transform() runs the level-by-level recursion: for k = q..2 it forms
 the detail Gram matrix B^(k) = W A^(k) W^T, the dual-update matrix
 N^(k) = A^(k) W^T B^(k),-1, the coarsening map
 R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
-A^(k-1) = R A^(k) R^T. An exact system is then checked, to the fixed
+A^(k-1) = R A^(k) R^T. Every system is then checked, to the fixed
 CONSTRUCTION_TOL, against W N = I, true only if B = W A W^T, and against
 A^(k-1) = R A pi^T, true only if the coarse gamblets are A-orthogonal
 to the details (R A W^T = 0). The operator must be finite, exactly
@@ -70,7 +70,6 @@ class GambletSystem:
     b_levels: list[np.ndarray]  # B^(k), k = 1..q; B^(1) = A^(1)
     r_levels: list[np.ndarray]  # R^(k-1,k), k = 2..q
     n_levels: list[np.ndarray]  # N^(k), k = 2..q
-    trunc: float = 0.0
     _b_factors: list[CholFactor | None] = field(default_factory=list, repr=False)
 
     @property
@@ -126,15 +125,6 @@ class GambletSystem:
         return self.n_of(k).T @ self.hier.pi_prod(k, self.q)
 
 
-def _truncate(m: np.ndarray, trunc: float) -> np.ndarray:
-    if trunc <= 0.0:
-        return m
-    cap = trunc * np.abs(m).max(initial=0.0)
-    out = m.copy()
-    out[np.abs(out) < cap] = 0.0
-    return out
-
-
 def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     """B^(k) = W A^(k) W^T, its Cholesky factor, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k)."""
     W = hier.w_of(k)
@@ -147,16 +137,12 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     return B, fB, Nk, R
 
 
-def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
+def transform(op, hier: Hierarchy) -> GambletSystem:
     """Gamblet transform of a finite (else BadConfig), exactly symmetric (else NotSPD) operator.
 
-    A^(q) is the caller's matrix itself. When trunc > 0, entries of each
-    new A^(k-1) and R^(k-1,k) below trunc times the matrix's max magnitude
-    are dropped (the fine-basis expansions decay exponentially, so this
-    is a controlled sparsification; trunc = 0 is exact).
+    A^(q) is the caller's matrix itself. The result has passed
+    validate_system; a recursion that drifts raises GambletError.
     """
-    if not 0.0 <= trunc < np.inf:
-        raise BadConfig(f"trunc must be finite and >= 0, got {trunc}")
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     _check_square_symmetric(A, "operator")
     if A.shape[0] != hier.n_fine:
@@ -172,29 +158,25 @@ def transform(op, hier: Hierarchy, trunc: float = 0.0) -> GambletSystem:
     a_levels[q - 1] = Ak = A
     for k in range(q, 1, -1):
         b_levels[k - 1], b_factors[k - 1], n_levels[k - 2], R = _level_step(hier, k, Ak)
-        r_levels[k - 2] = R = _truncate(R, trunc)
-        a_levels[k - 2] = Ak = _truncate(symmetrize(R @ Ak @ R.T), trunc)
+        r_levels[k - 2] = R
+        a_levels[k - 2] = Ak = symmetrize(R @ Ak @ R.T)
     b_levels[0] = a_levels[0]
     b_factors[0] = cholesky(a_levels[0])
 
     sys = GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels, trunc=trunc,
-        _b_factors=b_factors,
+        r_levels=r_levels, n_levels=n_levels, _b_factors=b_factors,
     )
-    if trunc == 0.0:
-        validate_system(sys)
+    validate_system(sys)
     return sys
 
 
 def validate_system(sys: GambletSystem) -> None:
-    """Check W N = I and A^(k-1) = R A pi^T per level of an exact (trunc = 0) system.
+    """Check W N = I and A^(k-1) = R A pi^T per level of a system.
 
     Recomputing W A W^T or R A R^T would repeat the recursion and could not fail. N was
     solved with B, so W N = I certifies B = W A W^T; R A pi^T = R A R^T only if R A W^T = 0.
     """
-    if sys.trunc != 0.0:
-        raise BadConfig("validate_system needs an exact (trunc = 0) system")
     hier = sys.hier
     for k in range(2, sys.q + 1):
         Nk, Ak = sys.n_of(k), sys.a_of(k)
@@ -235,7 +217,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
         b_levels[k - 1], _, n_levels[k - 2], r_levels[k - 2] = _level_step(hier, k, a_levels[k - 1])
     return GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels, trunc=0.0,
+        r_levels=r_levels, n_levels=n_levels,
     )
 
 
@@ -336,8 +318,6 @@ def z_matrix(sys: GambletSystem) -> np.ndarray:
     only; the cross-level blocks can pull lambda_min of the full Z below
     1 (0.468 for the rough 1D q = 5 system, 0.596 for rough 2D q = 3).
     """
-    if sys.trunc != 0.0:
-        raise BadConfig("z_matrix needs an exact (trunc = 0) system")
     j_sizes = sys.hier.j_sizes
     offs = np.concatenate(([0], np.cumsum(j_sizes)))
     total = offs[-1]
@@ -359,8 +339,8 @@ def z_matrix(sys: GambletSystem) -> np.ndarray:
 # and a JSON manifest holding the sha256 of every file.
 
 MANIFEST_NAME = "manifest.json"
-FORMAT = "gamblet-system-2"
-_MANIFEST_FIELDS = ("format", "q", "dim", "trunc", "sizes", "j_sizes", "hierarchy_sha256", "sha256", "files")
+FORMAT = "gamblet-system-3"
+_MANIFEST_FIELDS = ("format", "q", "dim", "sizes", "j_sizes", "hierarchy_sha256", "sha256", "files")
 
 
 def _file_sha256(path) -> str:
@@ -402,7 +382,6 @@ def save_system(sys: GambletSystem, dirpath) -> None:
         "format": FORMAT,
         "q": sys.q,
         "dim": sys.hier.dim,
-        "trunc": sys.trunc,
         "sizes": sys.hier.sizes,
         "j_sizes": sys.hier.j_sizes,
         "hierarchy_sha256": digests.pop("hierarchy"),
@@ -424,7 +403,8 @@ def read_manifest(dirpath) -> dict:
     except json.JSONDecodeError as exc:
         raise BadConfig(f"manifest {path} is not valid JSON: {exc}") from None
     # Older stores (format "gamblet-system": dense hierarchy JSON, or CSV
-    # matrices without digests) all land here.
+    # matrices without digests; "gamblet-system-2", which could hold a
+    # truncated system) all land here.
     missing = [key for key in _MANIFEST_FIELDS if key not in manifest]
     if missing or manifest["format"] != FORMAT:
         what = f"is missing field '{missing[0]}'" if missing else f"has format {manifest['format']!r}"
@@ -485,5 +465,5 @@ def load_system(dirpath) -> GambletSystem:
     n_levels = [load(f"n_{k}", hier.sizes[k - 1], hier.j_size(k)) for k in range(2, q + 1)]
     return GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels, trunc=float(manifest["trunc"]),
+        r_levels=r_levels, n_levels=n_levels,
     )

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from gamblets.cli import main, parse_config_file
+from gamblets.cli import OPTIONS, main, parse_config_file
 from gamblets import BadConfig
 
 
@@ -265,7 +265,7 @@ def test_rejected_parameter_values(capsys):
     [
         (["denoise", "--sigma", "nan"], "sigma"),
         (["denoise", "--bound", "inf"], "bound"),
-        (["denoise", "--trunc", "nan"], "trunc"),
+        (["denoise", "--t0", "nan"], "t0"),
         (["graph", "--synthetic-grid", "8", "--q", "3", "--sigma-rms", "nan"], "sigma_rms"),
     ],
 )
@@ -273,6 +273,63 @@ def test_rejects_non_finite_numbers(argv, field, tmp_path, capsys):
     code, _, stderr = run(argv + ["--out", str(tmp_path / "o")], capsys)
     assert code == 1
     assert f"{field} must be finite" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+# Each subcommand accepts exactly the options its row set in OPTIONS names.
+
+SMALL_RUNS = {
+    "transform": ["transform", "--problem", "pde-1d", "--q", "3"],
+    "denoise": ["denoise", "--problem", "pde-1d", "--q", "3", "--trials", "2"],
+    "graph": ["graph", "--synthetic-grid", "8", "--q", "3", "--sigma-rms", "0.01", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("graph", "methods = all"), ("denoise", "graph_file = g.txt"), ("transform", "trials = 2")],
+)
+def test_config_key_the_command_does_not_read(command, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, stderr = run(SMALL_RUNS[command] + ["--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    key = line.split(" =")[0]
+    assert f"config key '{key}' is not read by the {command} subcommand" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["transform", "--seed", "9"], ["graph", "--bound", "2"]])
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_manifest_config_holds_the_keys_read(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(SMALL_RUNS[command] + ["--out", str(out)], capsys)[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]) == {o.key for o in OPTIONS if command in o.commands}
+
+
+@pytest.mark.parametrize(
+    "flag, line, keys",
+    [
+        (["--sigma", "0.1"], "sigma_rms = 0.01", "sigma and sigma_rms"),
+        (["--synthetic-grid", "8"], "graph_file = g.txt", "graph_file and synthetic_grid"),
+    ],
+)
+def test_graph_refuses_both_of_an_exclusive_pair(flag, line, keys, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, stderr = run(
+        ["graph", "--q", "3", *flag, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == 1
+    assert f"{keys} exclude each other" in stderr
     assert not (tmp_path / "o").exists()
 
 
