@@ -13,13 +13,18 @@ Subcommands:
   manifest fields.
 * ``selftest`` exercises the core identities on small problems.
 
-Options of ``transform``, ``denoise`` and ``graph`` come from an
-optional ``key = value`` config file plus flags; flags win. One table,
-``OPTIONS``, names each option's type and the subcommands that read it;
-a subcommand accepts exactly those flags and config keys, and its
-manifest's ``config`` records exactly those keys. ``sigma`` and
-``sigma_rms``, and ``graph_file`` and ``synthetic_grid``, exclude each
-other. ``selftest`` takes no options. Every output file is written
+Options of ``transform``, ``denoise`` and ``graph`` come from the
+defaults, then an optional ``key = value`` config file, then flags;
+later sources win. One table, ``OPTIONS``, declares each option once:
+its type, the subcommands that read it, its default, its help and its
+choices. A subcommand accepts exactly those flags and config keys, a
+config value outside the choices is refused as a flag's would be, and
+the manifest's ``config`` records exactly those keys with the values
+the run used. ``sigma`` and ``sigma_rms``, and ``graph_file`` and
+``synthetic_grid``, exclude each other: giving one drops the other's
+default, giving both is an error. Every other value is checked by the
+library call that reads it, and each subcommand makes that call before
+any work. ``selftest`` takes no options. Every output file is written
 deterministically (fixed float formatting, sorted JSON keys, no
 timestamps), so reruns with identical inputs and the same BLAS thread
 count are byte-identical; a different thread count can change the last
@@ -30,11 +35,11 @@ logging level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys as _sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,13 +62,14 @@ from .transform import _file_sha256, save_system, transform, verify_system
 
 log = logging.getLogger("gamblets")
 
-PROBLEMS = ("pde-1d", "pde-2d")
+_DIMS = {"pde-1d": 1, "pde-2d": 2}
 
 
 class _Option(NamedTuple):
     key: str
     type: type
     commands: tuple[str, ...]
+    default: object
     help: str
     choices: tuple[str, ...] | None = None
 
@@ -74,83 +80,29 @@ _PDE = ("transform", "denoise")
 
 # Every option of every subcommand: its flag is --key (with '-' for '_'),
 # its config-file key is key, and only the listed subcommands accept it.
+# A None default means the option is not given.
 OPTIONS = (
-    _Option("out", str, _ALL, "output directory"),
-    _Option("q", int, _ALL, "number of hierarchy levels"),
-    _Option("seed", int, _RUNS, "base seed for all randomness"),
-    _Option("trials", int, _RUNS, "number of noise realizations"),
-    _Option("sigma", float, _RUNS, "noise standard deviation"),
-    _Option("problem", str, _PDE, "problem kind", PROBLEMS),
-    _Option("coefficient", str, _PDE, "conductivity: 'rough', 'unit', or a CSV of per-cell values"),
-    _Option("bound", float, ("denoise",), "prior bound M on the source energy"),
-    _Option("signal", str, ("denoise",), "signal model", dn.SIGNAL_MODES),
-    _Option("methods", str, ("denoise",), "comma-separated method subset (default: all)"),
-    _Option("t0", float, ("denoise",), "fixed threshold base (skips tuning)"),
-    _Option("confidence", float, ("denoise",), "regularization confidence level"),
-    _Option("graph_file", str, ("graph",), "plain-text graph file (header 'N M')"),
-    _Option("synthetic_grid", int, ("graph",), "n for an n x n grid graph"),
-    _Option("ground", int, ("graph",), "index of the grounded vertex"),
-    _Option("sigma_rms", float, ("graph",), "sigma as a multiple of the signal RMS"),
+    _Option("out", str, _ALL, "out", "output directory"),
+    _Option("q", int, _ALL, 4, "number of hierarchy levels"),
+    _Option("seed", int, _RUNS, 1, "base seed for all randomness"),
+    _Option("trials", int, _RUNS, 8, "number of noise realizations"),
+    _Option("sigma", float, _RUNS, 1e-3, "noise standard deviation"),
+    _Option("problem", str, _PDE, "pde-1d", "problem kind; graphs go through the graph subcommand", tuple(_DIMS)),
+    _Option("coefficient", str, _PDE, "rough", "conductivity: 'rough', 'unit', or a CSV of per-cell values"),
+    _Option("bound", float, ("denoise",), 1.0, "prior bound M on the source energy"),
+    _Option("signal", str, ("denoise",), None, "signal model, random-sphere if not given", dn.SIGNAL_MODES),
+    _Option("methods", str, ("denoise",), None, "comma-separated method subset, all if not given"),
+    _Option("t0", float, ("denoise",), None, "fixed threshold base (skips tuning)"),
+    _Option("confidence", float, ("denoise",), 0.95, "regularization confidence level"),
+    _Option("graph_file", str, ("graph",), None, "plain-text graph file (header 'N M')"),
+    _Option("synthetic_grid", int, ("graph",), None, "n for an n x n grid graph"),
+    _Option("ground", int, ("graph",), 0, "index of the grounded vertex"),
+    _Option("sigma_rms", float, ("graph",), None, "sigma as a multiple of the signal RMS"),
 )
-_KEYS = {cmd: tuple(o.key for o in OPTIONS if cmd in o.commands) for cmd in _ALL}
-_TYPES = {o.key: o.type for o in OPTIONS}
+_DEFAULTS = {cmd: {o.key: o.default for o in OPTIONS if cmd in o.commands} for cmd in _ALL}
+_BY_KEY = {o.key: o for o in OPTIONS}
 # Pairs of keys that set one thing two ways; giving both is an error.
 _EXCLUSIVE = (("sigma", "sigma_rms"), ("graph_file", "synthetic_grid"))
-
-
-@dataclass
-class ExperimentConfig:
-    problem: str = "pde-1d"
-    q: int = 4
-    sigma: float = 1e-3
-    bound: float = 1.0
-    trials: int = 8
-    seed: int = 1
-    coefficient: str = "rough"
-    out: str = "out"
-    signal: str | None = None
-    methods: str | None = None
-    confidence: float = 0.95
-    t0: float | None = None
-    graph_file: str | None = None
-    synthetic_grid: int | None = None
-    ground: int = 0
-    sigma_rms: float | None = None
-
-    def __post_init__(self):
-        dn._require_finite(sigma=self.sigma, bound=self.bound, t0=self.t0, sigma_rms=self.sigma_rms)
-        if self.problem not in PROBLEMS:
-            raise BadConfig(
-                f"problem must be one of {PROBLEMS} (graphs go through the graph subcommand), "
-                f"got {self.problem!r}"
-            )
-        if self.q < 1:
-            raise BadConfig(f"q must be >= 1, got {self.q}")
-        if self.sigma < 0:
-            raise BadConfig(f"sigma must be >= 0, got {self.sigma}")
-        if self.bound <= 0:
-            raise BadConfig(f"bound must be > 0, got {self.bound}")
-        if self.trials < 1:
-            raise BadConfig(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.confidence < 1.0:
-            raise BadConfig(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.t0 is not None and self.t0 < 0:
-            raise BadConfig(f"t0 must be >= 0, got {self.t0}")
-        if self.synthetic_grid is not None and self.synthetic_grid < 2:
-            raise BadConfig(f"synthetic grid size must be >= 2, got {self.synthetic_grid}")
-        if self.ground < 0:
-            raise BadConfig(f"ground vertex must be >= 0, got {self.ground}")
-        if self.sigma_rms is not None and self.sigma_rms <= 0:
-            raise BadConfig(f"sigma_rms must be > 0, got {self.sigma_rms}")
-
-    def method_list(self) -> list[str] | None:
-        if self.methods is None or self.methods.strip() in ("", "all"):
-            return None
-        return [m.strip() for m in self.methods.split(",") if m.strip()]
-
-    def as_record(self, command: str) -> dict:
-        """The options the command reads, which are all that can have taken effect."""
-        return {key: getattr(self, key) for key in _KEYS[command]}
 
 
 def parse_config_file(path) -> dict:
@@ -166,31 +118,38 @@ def parse_config_file(path) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _TYPES:
+            opt = _BY_KEY.get(key)
+            if opt is None:
                 raise BadConfig(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _TYPES[key](val)
+                values[key] = opt.type(val)
             except ValueError:
                 raise BadConfig(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from None
+            if opt.choices is not None and values[key] not in opt.choices:
+                raise BadConfig(f"{path}:{lineno}: {key} must be one of {opt.choices}, got {val!r} ({opt.help})")
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file's values overridden by the flags given; keys the command does not read raise."""
-    keys = _KEYS[args.command]
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-        for key in values:
-            if key not in keys:
-                raise BadConfig(
-                    f"{args.config}: config key {key!r} is not read by the {args.command} subcommand"
-                )
-    values.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The subcommand's options: the table defaults, then the config file, then the flags.
+
+    A config key the subcommand does not read raises. Giving either key
+    of an exclusive pair drops the other's default; giving both raises.
+    """
+    cfg = dict(_DEFAULTS[args.command])
+    given = parse_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in cfg:
+            raise BadConfig(f"{args.config}: config key {key!r} is not read by the {args.command} subcommand")
+    given.update((key, getattr(args, key)) for key in cfg if getattr(args, key) is not None)
     for pair in _EXCLUSIVE:
-        if all(values.get(key) is not None for key in pair):
+        named = [key for key in pair if key in given]
+        if len(named) == 2:
             raise BadConfig(f"{pair[0]} and {pair[1]} exclude each other; give one of them")
-    return ExperimentConfig(**values)
+        if named:
+            cfg.update((key, None) for key in pair if key in cfg)
+    cfg.update(given)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +164,10 @@ def _coefficient(name: str, dim: int):
     return coeff_from_cells(values if dim == 2 else values.ravel(), dim)
 
 
-def _build_pde(cfg: ExperimentConfig):
-    dim = 1 if cfg.problem == "pde-1d" else 2
-    field = _coefficient(cfg.coefficient, dim)
-    hier = build_dyadic(dim, cfg.q)
+def _build_pde(cfg: dict):
+    dim = _DIMS[cfg["problem"]]
+    hier = build_dyadic(dim, cfg["q"])
+    field = _coefficient(cfg["coefficient"], dim)
     op = assemble_fem(field, hier)
     return field, hier, op
 
@@ -226,47 +185,26 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_results_csv(path, stats: dn.TrialStats) -> None:
-    lines = ["method,energy_avg,energy_std,l2_avg,l2_std"]
-    for m in stats.methods:
-        s = stats.stats[m]
-        lines.append(
-            ",".join([m, _fmt(s.energy_avg), _fmt(s.energy_std), _fmt(s.l2_avg), _fmt(s.l2_std)])
-        )
+def _write_csv(path, header, rows) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n")
+
+
+def _write_results_csv(path, stats: dn.TrialStats) -> None:
+    names = [f.name for f in dataclasses.fields(dn.MethodStats)]
+    rows = ([m, *(_fmt(getattr(stats.stats[m], n)) for n in names)] for m in stats.methods)
+    _write_csv(path, ["method", *names], rows)
 
 
 def _write_realization_csv(path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    cols = [np.asarray(columns[n], dtype=float) for n in names]
-    n = cols[0].shape[0]
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    _write_csv(path, list(columns), ([_fmt(v) for v in row] for row in table))
 
 
 def _stats_record(stats: dn.TrialStats) -> dict:
-    return {
-        "methods": stats.methods,
-        "stats": {
-            m: {
-                "energy_avg": s.energy_avg,
-                "energy_std": s.energy_std,
-                "l2_avg": s.l2_avg,
-                "l2_std": s.l2_std,
-            }
-            for m, s in stats.stats.items()
-        },
-        "noise_energy_avg": stats.noise_energy_avg,
-        "noise_energy_std": stats.noise_energy_std,
-        "n_trials": stats.n_trials,
-        "seed": stats.seed,
-        "level": stats.level,
-        "tuned_t0": stats.tuned_t0,
-    }
+    record = dataclasses.asdict(stats)
+    del record["first_realization"]
+    return record
 
 
 def _print_stats(stats: dn.TrialStats) -> None:
@@ -283,7 +221,7 @@ def _print_stats(stats: dn.TrialStats) -> None:
 
 
 def _write_run(
-    cfg: ExperimentConfig, command: str, system, stats: dn.TrialStats,
+    cfg: dict, command: str, system, stats: dn.TrialStats,
     geometry: dict[str, np.ndarray], extra: dict,
 ) -> None:
     """Write a run's system/, results.csv, realization0.csv and manifest.json.
@@ -293,9 +231,10 @@ def _write_run(
     level filter did not run) with that recovery's error. The manifest
     holds the config, `extra`, the output names and the statistics.
     """
-    os.makedirs(cfg.out, exist_ok=True)
-    save_system(system, os.path.join(cfg.out, "system"))
-    _write_results_csv(os.path.join(cfg.out, "results.csv"), stats)
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    save_system(system, os.path.join(out, "system"))
+    _write_results_csv(os.path.join(out, "results.csv"), stats)
     real = stats.first_realization
     rec = real["recoveries"].get("level-filter")
     if rec is None:
@@ -304,12 +243,12 @@ def _write_run(
     columns.update(
         f=real["f"], u=real["u"], eta=real["eta"], recovery=rec, error=rec - real["u"]
     )
-    _write_realization_csv(os.path.join(cfg.out, "realization0.csv"), columns)
+    _write_realization_csv(os.path.join(out, "realization0.csv"), columns)
     _write_json(
-        os.path.join(cfg.out, "manifest.json"),
+        os.path.join(out, "manifest.json"),
         {
             "command": command,
-            "config": cfg.as_record(command),
+            "config": cfg,
             **extra,
             "results": "results.csv",
             "realization": "realization0.csv",
@@ -318,27 +257,23 @@ def _write_run(
         },
     )
     _print_stats(stats)
-    print(f"written to {cfg.out}")
+    print(f"written to {out}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each takes the record resolve_config returns.
 
-def _system_key(cfg: ExperimentConfig) -> dict:
+def _system_key(cfg: dict) -> dict:
     """What the stored system depends on; a coefficient CSV counts by its bytes, not its path."""
-    key = {
-        "problem": cfg.problem,
-        "q": cfg.q,
-        "coefficient": cfg.coefficient,
-    }
-    if cfg.coefficient not in ("rough", "unit"):
-        key["coefficient_sha256"] = _file_sha256(cfg.coefficient)
+    key = {k: cfg[k] for k in ("problem", "q", "coefficient")}
+    if cfg["coefficient"] not in ("rough", "unit"):
+        key["coefficient_sha256"] = _file_sha256(cfg["coefficient"])
     return key
 
 
-def cmd_transform(cfg: ExperimentConfig) -> int:
-    manifest_path = os.path.join(cfg.out, "manifest.json")
-    sys_dir = os.path.join(cfg.out, "system")
+def cmd_transform(cfg: dict) -> int:
+    manifest_path = os.path.join(cfg["out"], "manifest.json")
+    sys_dir = os.path.join(cfg["out"], "system")
     key = _system_key(cfg)
     if os.path.exists(manifest_path):
         try:
@@ -348,17 +283,17 @@ def cmd_transform(cfg: ExperimentConfig) -> int:
             raise BadConfig(f"manifest {manifest_path} is not valid JSON: {exc}") from None
         if prior.get("command") == "transform" and prior.get("system_key") == key:
             verify_system(sys_dir)  # raises if any stored file is missing or damaged
-            print(f"cache hit: gamblet system already present in {cfg.out}")
+            print(f"cache hit: gamblet system already present in {cfg['out']}")
             return 0
     _, hier, op = _build_pde(cfg)
     sys = transform(op, hier)
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(cfg["out"], exist_ok=True)
     save_system(sys, sys_dir)
     _write_json(
         manifest_path,
         {
             "command": "transform",
-            "config": cfg.as_record("transform"),
+            "config": cfg,
             "system_key": key,
             "sizes": hier.sizes,
             "j_sizes": hier.j_sizes,
@@ -370,21 +305,19 @@ def cmd_transform(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_denoise(cfg: ExperimentConfig) -> int:
+def cmd_denoise(cfg: dict) -> int:
+    if cfg["trials"] < 1:
+        raise BadConfig(f"trials must be >= 1, got {cfg['trials']}")
+    dcfg = dn.DenoiseConfig(
+        d=_DIMS[cfg["problem"]],
+        **{k: cfg[k] for k in ("q", "sigma", "bound", "confidence", "t0", "signal") if cfg[k] is not None},
+    )
+    methods = [m.strip() for m in (cfg["methods"] or "").split(",") if m.strip()]
     field, hier, op = _build_pde(cfg)
     sys = transform(op, hier)
-    dcfg = dn.DenoiseConfig(
-        d=hier.dim,
-        q=cfg.q,
-        sigma=cfg.sigma,
-        bound=cfg.bound,
-        confidence=cfg.confidence,
-        t0=cfg.t0,
-        signal=cfg.signal or "random-sphere",
-    )
     stats = dn.run_trials(
-        sys, op, dcfg, cfg.trials, cfg.seed,
-        methods=cfg.method_list(),
+        sys, op, dcfg, cfg["trials"], cfg["seed"],
+        methods=None if methods in ([], ["all"]) else methods,
     )
     coords = op.node_coords
     geometry = {"x": coords[:, 0]}
@@ -395,21 +328,21 @@ def cmd_denoise(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_graph(cfg: ExperimentConfig) -> int:
-    if cfg.graph_file is not None:
-        g = load_graph(cfg.graph_file, ground=cfg.ground)
-    elif cfg.synthetic_grid is not None:
-        g = synthetic_grid(cfg.synthetic_grid, ground=cfg.ground)
+def cmd_graph(cfg: dict) -> int:
+    rms, n = cfg["sigma_rms"], cfg["synthetic_grid"]
+    dn._require_finite(sigma_rms=rms)
+    if rms is not None and rms <= 0:
+        raise BadConfig(f"sigma_rms must be > 0, got {rms}")
+    if cfg["graph_file"] is not None:
+        g = load_graph(cfg["graph_file"], ground=cfg["ground"])
+    elif n is not None:
+        if n < 2:
+            raise BadConfig(f"synthetic grid size must be >= 2, got {n}")
+        g = synthetic_grid(n, ground=cfg["ground"])
     else:
         raise BadConfig("give either --graph-file or --synthetic-grid")
-    sigma = None if cfg.sigma_rms is not None else cfg.sigma
     out = denoise_graph(
-        g,
-        cfg.q,
-        sigma=sigma,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        sigma_rms=cfg.sigma_rms,
+        g, cfg["q"], sigma=cfg["sigma"], seed=cfg["seed"], trials=cfg["trials"], sigma_rms=rms,
     )
     est = out.estimate
     print(f"H = {est.H:.4f}, d_eff = {est.d_eff:.4f}")
@@ -533,7 +466,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="path to a key = value config file")
         for o in OPTIONS:
             if command in o.commands:
-                sp.add_argument("--" + o.key.replace("_", "-"), type=o.type, choices=o.choices, help=o.help)
+                sp.add_argument(
+                    "--" + o.key.replace("_", "-"), type=o.type, choices=o.choices,
+                    help=o.help if o.default is None else f"{o.help} (default: {o.default})",
+                )
         sp.set_defaults(func=func)
     sub.add_parser("selftest", help="run the built-in invariant checks")
     return p

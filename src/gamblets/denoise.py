@@ -476,10 +476,16 @@ def gen_signal(
 
 
 def add_noise(u: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """u plus i.i.d. centered Gaussian noise of standard deviation sigma."""
+    """u plus i.i.d. centered Gaussian noise of standard deviation sigma.
+
+    u must be one (N,) vector, else DimensionMismatch: the trial engine
+    draws each column's noise from that trial's own generator.
+    """
     if sigma < 0:
         raise BadConfig(f"sigma must be >= 0, got {sigma}")
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise DimensionMismatch(f"add_noise takes one (N,) vector, got shape {u.shape}")
     if sigma == 0.0:
         return u.copy()
     return u + sigma * rng.standard_normal(u.shape[0])

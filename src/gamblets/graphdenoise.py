@@ -130,19 +130,22 @@ def denoise_graph(
     vector of per-vertex values, or None for the smooth-2d formula of
     denoise.py). u solves the grounded system L u = f, and each trial
     adds i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
-    directly or as sigma_rms times the RMS of u; the prior bound is |f|.
-    A missing, negative or non-finite sigma (or sigma_rms) and trials < 1
-    raise BadConfig before any work; a signal with NaN or inf raises it
-    once the signal is read. Recovery uses the level filter at the level
-    chosen from the fitted (H, d_eff), with a hard threshold that is the
-    same on every level as the comparator, its value tuned over 16
-    multiples of sigma on 16 pairs of a separate noise stream. Both run
-    in the trial engine of denoise.py; its outputs are permuted back to
-    vertex order here, and the first trial's level-filter recovery is
+    directly or as sigma_rms times the RMS of u, not both; the prior bound
+    is |f|. Both or neither of sigma and sigma_rms, a negative or
+    non-finite one and trials < 1 raise BadConfig before any work; a
+    signal with NaN or inf raises it once the signal is read. Recovery
+    uses the level filter at the level chosen from the fitted (H, d_eff),
+    with a hard threshold that is the same on every level as the
+    comparator, its value tuned over 16 multiples of sigma on 16 pairs of
+    a separate noise stream. Both run in the trial engine of denoise.py;
+    its outputs are permuted back to vertex order here, and the first
+    trial's level-filter recovery is
     stats.first_realization["recoveries"]["level-filter"].
     """
     if trials < 1:
         raise BadConfig(f"trials must be >= 1, got {trials}")
+    if sigma is not None and sigma_rms is not None:
+        raise BadConfig("sigma and sigma_rms exclude each other; give one of them")
     if sigma is None and sigma_rms is None:
         raise BadConfig("give either sigma or sigma_rms")
     noise = sigma if sigma is not None else sigma_rms  # sigma, or its multiple of the RMS of u

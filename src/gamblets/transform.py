@@ -97,6 +97,7 @@ class GambletSystem:
         return self.n_levels[k - 2]
 
     def b_factor(self, k: int) -> CholFactor:
+        """Cholesky factor of B^(k), computed on first use and kept for solve."""
         if not self._b_factors:
             self._b_factors = [None] * self.q
         f = self._b_factors[k - 1]
@@ -126,15 +127,14 @@ class GambletSystem:
 
 
 def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
-    """B^(k) = W A^(k) W^T, its Cholesky factor, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k)."""
+    """B^(k) = W A^(k) W^T, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k)."""
     W = hier.w_of(k)
     pi = hier.pi_of(k - 1)
     WA = W @ Ak
     B = symmetrize(WA @ W.T)
-    fB = cholesky(B)
-    Nk = solve_spd(fB, WA).T
+    Nk = solve_spd(cholesky(B), WA).T
     R = pi - (pi @ Nk) @ W
-    return B, fB, Nk, R
+    return B, Nk, R
 
 
 def transform(op, hier: Hierarchy) -> GambletSystem:
@@ -153,19 +153,17 @@ def transform(op, hier: Hierarchy) -> GambletSystem:
     b_levels: list[np.ndarray] = [None] * q
     r_levels: list[np.ndarray] = [None] * (q - 1)
     n_levels: list[np.ndarray] = [None] * (q - 1)
-    b_factors: list[CholFactor | None] = [None] * q
 
     a_levels[q - 1] = Ak = A
     for k in range(q, 1, -1):
-        b_levels[k - 1], b_factors[k - 1], n_levels[k - 2], R = _level_step(hier, k, Ak)
+        b_levels[k - 1], n_levels[k - 2], R = _level_step(hier, k, Ak)
         r_levels[k - 2] = R
         a_levels[k - 2] = Ak = symmetrize(R @ Ak @ R.T)
     b_levels[0] = a_levels[0]
-    b_factors[0] = cholesky(a_levels[0])
 
     sys = GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels, _b_factors=b_factors,
+        r_levels=r_levels, n_levels=n_levels,
     )
     validate_system(sys)
     return sys
@@ -214,7 +212,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     n_levels: list[np.ndarray] = [None] * (q - 1)
     b_levels[0] = a_levels[0]
     for k in range(2, q + 1):
-        b_levels[k - 1], _, n_levels[k - 2], r_levels[k - 2] = _level_step(hier, k, a_levels[k - 1])
+        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2] = _level_step(hier, k, a_levels[k - 1])
     return GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
         r_levels=r_levels, n_levels=n_levels,

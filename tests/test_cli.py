@@ -213,6 +213,13 @@ def test_denoise_method_subset_2d(tmp_path, capsys):
     assert len(real) == 1 + 64
 
 
+def test_denoise_empty_method_list_runs_all(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, _ = run(["denoise", "--q", "3", "--trials", "2", "--methods", " , ", "--out", str(out)], capsys)
+    assert code == 0
+    assert len(read_csv_lines(out / "results.csv")) == 5
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -316,6 +323,36 @@ def test_manifest_config_holds_the_keys_read(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["transform"], {}),
+        (["denoise"], {}),
+        (["graph", "--synthetic-grid", "8", "--q", "3"], {"synthetic_grid": 8, "q": 3}),
+    ],
+)
+def test_bare_run_records_the_option_defaults(argv, given, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    want = {o.key: o.default for o in OPTIONS if argv[0] in o.commands}
+    want.update(given, out=str(out))
+    assert manifest["config"] == want
+    if argv[0] == "graph":  # with neither sigma option, graph runs at the sigma default
+        assert manifest["sigma"] == want["sigma"] == 1e-3
+
+
+@pytest.mark.parametrize("line", ["signal = bogus", "problem = pde-3d"])
+def test_config_value_outside_the_choices(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, stderr = run(["denoise", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    key = line.split(" =")[0]
+    assert f"{key} must be one of" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "flag, line, keys",
     [
         (["--sigma", "0.1"], "sigma_rms = 0.01", "sigma and sigma_rms"),
@@ -349,6 +386,7 @@ def test_graph_synthetic_grid(tmp_path, capsys):
     assert 0.0 < manifest["H"] < 1.0
     assert manifest["d_eff"] > 0.0
     assert manifest["sigma"] > 0.0
+    assert manifest["config"]["sigma"] is None  # sigma came from sigma_rms
     real = read_csv_lines(out / "realization0.csv")
     assert real[0] == "x,y,f,u,eta,recovery,error"
     assert len(real) == 1 + 63

@@ -285,6 +285,13 @@ def test_add_noise_statistics():
     assert_allclose(gb.add_noise(u, 0.0, rng), u, atol=0)
 
 
+@pytest.mark.parametrize("shape", [(16, 16), (16, 3)])
+def test_add_noise_refuses_blocks(shape):
+    # each trial's noise comes from its own generator, so a block has no one right answer
+    with pytest.raises(gb.DimensionMismatch, match="one \\(N,\\) vector"):
+        gb.add_noise(np.zeros(shape), 0.1, np.random.default_rng(0))
+
+
 def test_errors_identities(op_1d_rough_q4):
     u = np.random.default_rng(10).standard_normal(16)
     assert gb.errors(op_1d_rough_q4, u, u) == (0.0, 0.0)

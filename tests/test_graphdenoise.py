@@ -173,8 +173,11 @@ def test_pipeline_rejects_non_finite_inputs(kwargs, field):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(sigma=np.nan), dict(sigma=-1.0), dict(sigma_rms=np.nan), dict(sigma=0.1, trials=0), dict()],
-    ids=["sigma-nan", "sigma-negative", "sigma_rms-nan", "trials-0", "no-sigma"],
+    [
+        dict(sigma=np.nan), dict(sigma=-1.0), dict(sigma_rms=np.nan), dict(sigma=0.1, trials=0), dict(),
+        dict(sigma=0.1, sigma_rms=0.01),
+    ],
+    ids=["sigma-nan", "sigma-negative", "sigma_rms-nan", "trials-0", "no-sigma", "sigma-and-sigma_rms"],
 )
 def test_pipeline_checks_inputs_before_any_work(monkeypatch, kwargs):
     def transform(*args, **kw):
