@@ -329,10 +329,7 @@ def cmd_denoise(cfg: dict) -> int:
 
 
 def cmd_graph(cfg: dict) -> int:
-    rms, n = cfg["sigma_rms"], cfg["synthetic_grid"]
-    dn._require_finite(sigma_rms=rms)
-    if rms is not None and rms <= 0:
-        raise BadConfig(f"sigma_rms must be > 0, got {rms}")
+    n = cfg["synthetic_grid"]
     if cfg["graph_file"] is not None:
         g = load_graph(cfg["graph_file"], ground=cfg["ground"])
     elif n is not None:
@@ -342,7 +339,7 @@ def cmd_graph(cfg: dict) -> int:
     else:
         raise BadConfig("give either --graph-file or --synthetic-grid")
     out = denoise_graph(
-        g, cfg["q"], sigma=cfg["sigma"], seed=cfg["seed"], trials=cfg["trials"], sigma_rms=rms,
+        g, cfg["q"], sigma=cfg["sigma"], seed=cfg["seed"], trials=cfg["trials"], sigma_rms=cfg["sigma_rms"],
     )
     est = out.estimate
     print(f"H = {est.H:.4f}, d_eff = {est.d_eff:.4f}")

@@ -131,10 +131,12 @@ def denoise_graph(
     denoise.py). u solves the grounded system L u = f, and each trial
     adds i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
     directly or as sigma_rms times the RMS of u, not both; the prior bound
-    is |f|. Both or neither of sigma and sigma_rms, a negative or
-    non-finite one and trials < 1 raise BadConfig before any work; a
-    signal with NaN or inf raises it once the signal is read. Recovery
-    uses the level filter at the level chosen from the fitted (H, d_eff),
+    is |f|. Both or neither of sigma and sigma_rms, a non-finite one, a
+    negative sigma, a sigma_rms <= 0 and trials < 1 raise BadConfig,
+    naming the value, before any work; a signal with NaN or inf raises
+    it once the signal is read. Recovery uses the level filter at the
+    level chosen from the fitted (H, d_eff) among the system's levels,
+    which number fewer than q when the hierarchy merged a degenerate one,
     with a hard threshold that is the same on every level as the
     comparator, its value tuned over 16 multiples of sigma on 16 pairs of
     a separate noise stream. Both run in the trial engine of denoise.py;
@@ -148,10 +150,11 @@ def denoise_graph(
         raise BadConfig("sigma and sigma_rms exclude each other; give one of them")
     if sigma is None and sigma_rms is None:
         raise BadConfig("give either sigma or sigma_rms")
-    noise = sigma if sigma is not None else sigma_rms  # sigma, or its multiple of the RMS of u
-    _require_finite(sigma=noise)
-    if noise < 0:
-        raise BadConfig(f"sigma must be >= 0, got {noise}")
+    _require_finite(sigma=sigma, sigma_rms=sigma_rms)
+    if sigma is not None and sigma < 0:
+        raise BadConfig(f"sigma must be >= 0, got {sigma}")
+    if sigma_rms is not None and sigma_rms <= 0:
+        raise BadConfig(f"sigma_rms must be > 0, got {sigma_rms}")
 
     op = grounded_laplacian(g)
     hier = build_from_points(op.node_coords, q)
@@ -167,7 +170,7 @@ def denoise_graph(
     a_box = op.A[np.ix_(inv, inv)]
     coords_box = op.node_coords[inv]
     op_box = DiscreteOperator(
-        A=a_box, mass=np.eye(op.n), dim=op.dim, q=q,
+        A=a_box, mass=np.eye(op.n), dim=op.dim, q=hier.q,
         mesh_width=0.0, kind="graph", node_coords=coords_box,
     )
 
@@ -195,7 +198,7 @@ def denoise_graph(
         return np.repeat(f_box[:, None], t, axis=1), np.repeat(u_box[:, None], t, axis=1)
 
     stats = _trial_engine(
-        sys, op_box, _graph_config(est, sigma, bound, q), source, np.ones(q),
+        sys, op_box, _graph_config(est, sigma, bound, sys.q), source, np.ones(sys.q),
         trials, seed, GRAPH_METHODS, tune_size=16, t0_grid=np.geomspace(1e-2, 1e2, 16) * sigma,
     )
     real = stats.first_realization

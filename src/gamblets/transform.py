@@ -7,8 +7,12 @@ R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
 A^(k-1) = R A^(k) R^T. Every system is then checked, to the fixed
 CONSTRUCTION_TOL, against W N = I, true only if B = W A W^T, and against
 A^(k-1) = R A pi^T, true only if the coarse gamblets are A-orthogonal
-to the details (R A W^T = 0). The operator must be finite, exactly
-symmetric and of the hierarchy's size.
+to the details (R A W^T = 0). Both the recursion and the check apply
+W^(k) and pi^(k-1,k), which are parent-local (one parent's children per
+row), as scipy.sparse matrices on the left of each product; every
+A/B/R/N is a dense ndarray, and the hierarchy keeps its dense filters.
+The operator must be finite, exactly symmetric and of the hierarchy's
+size.
 oracle_transform() computes every A^(k) independently by inverting the
 measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists
 purely to cross-check the recursion, and like z_matrix() it is imported
@@ -34,6 +38,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, TooLarge
 from .hierarchy import Hierarchy, hierarchy_from_json
@@ -126,14 +131,23 @@ class GambletSystem:
         return self.n_of(k).T @ self.hier.pi_prod(k, self.q)
 
 
+def _filters(hier: Hierarchy, k: int) -> tuple[csr_array, csr_array]:
+    """W^(k) and pi^(k-1,k) as sparse matrices; each row is nonzero on one parent's children only."""
+    return csr_array(hier.w_of(k)), csr_array(hier.pi_of(k - 1))
+
+
 def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
-    """B^(k) = W A^(k) W^T, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k)."""
-    W = hier.w_of(k)
-    pi = hier.pi_of(k - 1)
+    """B^(k) = W A^(k) W^T, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k) = pi (I - N W).
+
+    Every product has the sparse filter on the left and a dense result:
+    B = W (W A)^T, which is W A W^T as A is symmetric, and
+    (pi N) W = (W^T (pi N)^T)^T.
+    """
+    W, pi = _filters(hier, k)
     WA = W @ Ak
-    B = symmetrize(WA @ W.T)
+    B = symmetrize(W @ WA.T)
     Nk = solve_spd(cholesky(B), WA).T
-    R = pi - (pi @ Nk) @ W
+    R = hier.pi_of(k - 1) - (W.T @ (pi @ Nk).T).T
     return B, Nk, R
 
 
@@ -169,20 +183,27 @@ def transform(op, hier: Hierarchy) -> GambletSystem:
     return sys
 
 
+def _max_abs(m: np.ndarray) -> float:
+    """max |m_ij|, without the |m|-sized temporary of np.abs(m).max()."""
+    return float(max(m.max(), -m.min()))
+
+
 def validate_system(sys: GambletSystem) -> None:
     """Check W N = I and A^(k-1) = R A pi^T per level of a system.
 
     Recomputing W A W^T or R A R^T would repeat the recursion and could not fail. N was
     solved with B, so W N = I certifies B = W A W^T; R A pi^T = R A R^T only if R A W^T = 0.
     """
-    hier = sys.hier
     for k in range(2, sys.q + 1):
         Nk, Ak = sys.n_of(k), sys.a_of(k)
-        wn_err = np.abs(hier.w_of(k) @ Nk - np.eye(hier.j_size(k))).max()
-        if wn_err > CONSTRUCTION_TOL * max(1.0, float(np.abs(Nk).max())):
+        W, pi = _filters(sys.hier, k)
+        WN = W @ Nk
+        WN[np.diag_indices_from(WN)] -= 1.0
+        wn_err = _max_abs(WN)
+        if wn_err > CONSTRUCTION_TOL * max(1.0, _max_abs(Nk)):
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
-        a_err = np.abs(sys.r_of(k) @ Ak @ hier.pi_of(k - 1).T - sys.a_of(k - 1)).max()
-        if a_err > CONSTRUCTION_TOL * float(np.abs(Ak).max()):
+        a_err = _max_abs(sys.r_of(k) @ (pi @ Ak).T - sys.a_of(k - 1))
+        if a_err > CONSTRUCTION_TOL * _max_abs(Ak):
             raise GambletError(f"A^({k - 1}) != R A pi^T (max dev {a_err:.2e})")
 
 

@@ -394,6 +394,20 @@ def test_graph_synthetic_grid(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["level-filter", "hard-threshold"]
 
 
+def test_graph_with_a_merged_level(tmp_path, capsys):
+    """q = 4 on the 8x8 grid merges a degenerate level, so the system has 3 levels to choose from."""
+    out = tmp_path / "g"
+    code, _, _ = run(
+        ["graph", "--synthetic-grid", "8", "--q", "4", "--sigma", "0.01",
+         "--trials", "2", "--seed", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    system_q = json.loads((out / "system" / "manifest.json").read_text())["q"]
+    assert system_q == 3
+    assert 0 <= json.loads((out / "manifest.json").read_text())["level"] <= system_q
+
+
 def path_graph_text(n=8):
     rows = [f"{n} {n - 1}"]
     rows += [f"{i} {i / (n - 1):.6f} 0.0" for i in range(n)]

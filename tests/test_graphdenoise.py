@@ -160,7 +160,7 @@ def test_pipeline_config_errors():
     "kwargs, field",
     [
         (dict(sigma=np.nan), "sigma"),
-        (dict(sigma_rms=np.nan), "sigma"),
+        (dict(sigma_rms=np.nan), "sigma_rms"),
         (dict(sigma=0.1, signal=np.full(63, 1e200)), "bound"),  # finite, but bound = |f| overflows
         (dict(sigma=0.1, signal=np.full(63, np.nan)), "signal"),
         (dict(sigma=0.1, signal=lambda xy: xy[:, 0] / (xy[:, 1] > 0)), "signal"),  # inf at y = 0
@@ -175,9 +175,12 @@ def test_pipeline_rejects_non_finite_inputs(kwargs, field):
     "kwargs",
     [
         dict(sigma=np.nan), dict(sigma=-1.0), dict(sigma_rms=np.nan), dict(sigma=0.1, trials=0), dict(),
-        dict(sigma=0.1, sigma_rms=0.01),
+        dict(sigma=0.1, sigma_rms=0.01), dict(sigma_rms=0.0),
     ],
-    ids=["sigma-nan", "sigma-negative", "sigma_rms-nan", "trials-0", "no-sigma", "sigma-and-sigma_rms"],
+    ids=[
+        "sigma-nan", "sigma-negative", "sigma_rms-nan", "trials-0", "no-sigma", "sigma-and-sigma_rms",
+        "sigma_rms-0",
+    ],
 )
 def test_pipeline_checks_inputs_before_any_work(monkeypatch, kwargs):
     def transform(*args, **kw):

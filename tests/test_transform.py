@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gamblets as gb
+from conftest import random_spd
 from gamblets import BadConfig, DimensionMismatch, GambletError
 from gamblets.numerics import cholesky, extreme_eigs, solve_spd, symmetrize
 from gamblets.transform import (
+    _level_step,
     coefficient_energies,
     energy_norm,
     oracle_transform,
@@ -58,6 +60,45 @@ def test_recursion_matches_oracle(dim, q, rough):
     for k in range(2, q + 1):
         assert frobenius(fast.r_of(k), slow.r_of(k)) < 1e-8
         assert frobenius(fast.n_of(k), slow.n_of(k)) < 1e-8
+
+
+def _uneven_points_problem():
+    """A random 2D point hierarchy whose parents have 1 to 4 children, and an SPD operator on it."""
+    hier = gb.build_from_points(np.random.default_rng(0).random((60, 2)), 3)
+    assert all(len(np.unique(np.count_nonzero(pi, axis=1))) > 1 for pi in hier.pi)
+    return hier, random_spd(hier.n_fine, 3)
+
+
+@pytest.fixture(params=["dyadic-2d-q3", "uneven-points"])
+def level_problem(request, hier_2d_q3, op_2d_rough_q3):
+    if request.param == "dyadic-2d-q3":
+        return hier_2d_q3, op_2d_rough_q3.A
+    return _uneven_points_problem()
+
+
+def test_level_step_matches_dense_formulas(level_problem):
+    """The sparse-filter products give W A W^T, A W^T B^-1 and pi (I - N W)."""
+    hier, A = level_problem
+    sys = gb.transform(A, hier)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for k in range(2, hier.q + 1):
+        Ak, W, pi = sys.a_of(k), hier.w_of(k), hier.pi_of(k - 1)
+        B, Nk, R = _level_step(hier, k, Ak)
+        close(B, W @ Ak @ W.T)
+        close(Nk, Ak @ W.T @ np.linalg.inv(B))
+        close(R, pi @ (np.eye(hier.sizes[k - 1]) - Nk @ W))
+
+
+def test_levels_are_dense_float_arrays(level_problem):
+    """No np.matrix or sparse type leaks out of the sparse-filter products."""
+    hier, A = level_problem
+    for build in (gb.transform, oracle_transform):
+        sys = build(A, hier)
+        for m in sys.a_levels + sys.b_levels + sys.r_levels + sys.n_levels:
+            assert type(m) is np.ndarray and m.dtype == np.float64
 
 
 def test_detail_blocks_uniformly_conditioned(sys_1d_rough_q6):
