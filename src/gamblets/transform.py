@@ -4,11 +4,14 @@ transform() runs the level-by-level recursion: for k = q..2 it forms
 the detail Gram matrix B^(k) = W A^(k) W^T, the dual-update matrix
 N^(k) = A^(k) W^T B^(k),-1, the coarsening map
 R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
-A^(k-1) = R A^(k) R^T. Every system is then checked, to the fixed
-CONSTRUCTION_TOL, against W N = I, true only if B = W A W^T, and against
-A^(k-1) = R A pi^T, true only if the coarse gamblets are A-orthogonal
-to the details (R A W^T = 0). Both the recursion and the check apply
-W^(k) and pi^(k-1,k), which are parent-local (one parent's children per
+A^(k-1) = R A^(k) R^T. It forms them by eliminating the details in the
+orthogonal Haar basis [pi; W]: one solve of B against the |I^(k-1)|
+columns of C = W A pi^T gives N, R and A^(k-1), the Schur complement
+pi A pi^T - C^T B^-1 C, and R A R^T is never formed. Every system is
+then checked, to the fixed CONSTRUCTION_TOL, against W N = I,
+A^(k-1) = R A pi^T and R A W^T = 0, the A-orthogonality of the coarse
+gamblets to the details. Both the recursion and the check apply W^(k)
+and pi^(k-1,k), which are parent-local (one parent's children per
 row), as scipy.sparse matrices on the left of each product; every
 A/B/R/N is a dense ndarray, and the hierarchy keeps its dense filters.
 The operator must be finite, exactly symmetric and of the hierarchy's
@@ -137,18 +140,29 @@ def _filters(hier: Hierarchy, k: int) -> tuple[csr_array, csr_array]:
 
 
 def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
-    """B^(k) = W A^(k) W^T, N^(k) = A^(k) W^T B^(k),-1 and R^(k-1,k) = pi (I - N W).
+    """B^(k), N^(k), R^(k-1,k) and A^(k-1) from A^(k), eliminating the details in the Haar basis.
 
-    Every product has the sparse filter on the left and a dense result:
-    B = W (W A)^T, which is W A W^T as A is symmetric, and
-    (pi N) W = (W^T (pi N)^T)^T.
+    [pi; W] is orthogonal (pi^T pi + W^T W = I), so with B = W A W^T,
+    C = W A pi^T and X^T = B^-1 C (one solve with |I^(k-1)| right-hand
+    sides) the definitions N = A W^T B^-1, R = pi (I - N W) and
+    A^(k-1) = R A R^T become
+        N = W^T + pi^T X,  R = pi - X W,  A^(k-1) = pi A pi^T - C^T X^T,
+    the last the Schur complement of B in A written in that basis. Every
+    product has a sparse filter on the left and a dense result; W^T is
+    added into N entry by entry.
     """
     W, pi = _filters(hier, k)
-    WA = W @ Ak
-    B = symmetrize(W @ WA.T)
-    Nk = solve_spd(cholesky(B), WA).T
-    R = hier.pi_of(k - 1) - (W.T @ (pi @ Nk).T).T
-    return B, Nk, R
+    AWt = np.ascontiguousarray((W @ Ak).T)  # A W^T, as A is symmetric; one transpose for B and C
+    B = symmetrize(W @ AWt)
+    C = (pi @ AWt).T
+    del AWt
+    Xt = solve_spd(cholesky(B), C)
+    Nk = pi.T @ Xt.T
+    Wc = W.tocoo()
+    Nk[Wc.col, Wc.row] += Wc.data
+    R = hier.pi_of(k - 1) - (W.T @ Xt).T
+    A_coarse = symmetrize(pi @ (pi @ Ak).T - C.T @ Xt)
+    return B, Nk, R, A_coarse
 
 
 def transform(op, hier: Hierarchy) -> GambletSystem:
@@ -168,11 +182,11 @@ def transform(op, hier: Hierarchy) -> GambletSystem:
     r_levels: list[np.ndarray] = [None] * (q - 1)
     n_levels: list[np.ndarray] = [None] * (q - 1)
 
-    a_levels[q - 1] = Ak = A
+    a_levels[q - 1] = A
     for k in range(q, 1, -1):
-        b_levels[k - 1], n_levels[k - 2], R = _level_step(hier, k, Ak)
-        r_levels[k - 2] = R
-        a_levels[k - 2] = Ak = symmetrize(R @ Ak @ R.T)
+        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], a_levels[k - 2] = _level_step(
+            hier, k, a_levels[k - 1]
+        )
     b_levels[0] = a_levels[0]
 
     sys = GambletSystem(
@@ -189,22 +203,37 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def validate_system(sys: GambletSystem) -> None:
-    """Check W N = I and A^(k-1) = R A pi^T per level of a system.
+    """Check W N = I, A^(k-1) = R A pi^T and R A W^T = 0 per level of a system.
 
-    Recomputing W A W^T or R A R^T would repeat the recursion and could not fail. N was
-    solved with B, so W N = I certifies B = W A W^T; R A pi^T = R A R^T only if R A W^T = 0.
+    What each check certifies, for N, R and A^(k-1) formed from
+    X^T = B^-1 C as in _level_step:
+    - W N = I holds for N = W^T + pi^T X by the hierarchy's
+      orthogonality alone; it certifies the stored N and the filters.
+    - R A pi^T = pi A pi^T - X C, so A^(k-1) = R A pi^T tests the stored
+      A^(k-1) against the stored R and A; on an untouched system only
+      the antisymmetric part of C^T X^T is left.
+    - R A W^T = C^T - X B is the residual of the B solve: the defining
+      A-orthogonality of the coarse gamblets to the details. As
+      R^T = pi^T - W^T X^T, it makes R A pi^T equal R A R^T.
+    W A is taken in blocks of |I^(k-1)| rows, so no |J^(k)| x |I^(k)|
+    temporary is formed. A NaN fails every comparison it enters.
     """
     for k in range(2, sys.q + 1):
-        Nk, Ak = sys.n_of(k), sys.a_of(k)
+        Nk, Ak, R = sys.n_of(k), sys.a_of(k), sys.r_of(k)
         W, pi = _filters(sys.hier, k)
         WN = W @ Nk
         WN[np.diag_indices_from(WN)] -= 1.0
         wn_err = _max_abs(WN)
-        if wn_err > CONSTRUCTION_TOL * max(1.0, _max_abs(Nk)):
+        if not wn_err <= CONSTRUCTION_TOL * max(1.0, _max_abs(Nk)):
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
-        a_err = _max_abs(sys.r_of(k) @ (pi @ Ak).T - sys.a_of(k - 1))
-        if a_err > CONSTRUCTION_TOL * _max_abs(Ak):
+        a_tol = CONSTRUCTION_TOL * _max_abs(Ak)
+        a_err = _max_abs(R @ (pi @ Ak).T - sys.a_of(k - 1))
+        if not a_err <= a_tol:
             raise GambletError(f"A^({k - 1}) != R A pi^T (max dev {a_err:.2e})")
+        rows = pi.shape[0]
+        raw_err = max(_max_abs(R @ (W[i : i + rows, :] @ Ak).T) for i in range(0, W.shape[0], rows))
+        if not raw_err <= a_tol:
+            raise GambletError(f"R^({k - 1},{k}) A W^T != 0 (max dev {raw_err:.2e})")
 
 
 def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
@@ -233,7 +262,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     n_levels: list[np.ndarray] = [None] * (q - 1)
     b_levels[0] = a_levels[0]
     for k in range(2, q + 1):
-        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2] = _level_step(hier, k, a_levels[k - 1])
+        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], _ = _level_step(hier, k, a_levels[k - 1])
     return GambletSystem(
         hier=hier, a_levels=a_levels, b_levels=b_levels,
         r_levels=r_levels, n_levels=n_levels,

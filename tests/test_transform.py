@@ -77,7 +77,7 @@ def level_problem(request, hier_2d_q3, op_2d_rough_q3):
 
 
 def test_level_step_matches_dense_formulas(level_problem):
-    """The sparse-filter products give W A W^T, A W^T B^-1 and pi (I - N W)."""
+    """The Schur-complement step gives W A W^T, A W^T B^-1, pi (I - N W) and R A R^T."""
     hier, A = level_problem
     sys = gb.transform(A, hier)
 
@@ -86,10 +86,11 @@ def test_level_step_matches_dense_formulas(level_problem):
 
     for k in range(2, hier.q + 1):
         Ak, W, pi = sys.a_of(k), hier.w_of(k), hier.pi_of(k - 1)
-        B, Nk, R = _level_step(hier, k, Ak)
+        B, Nk, R, A_coarse = _level_step(hier, k, Ak)
         close(B, W @ Ak @ W.T)
         close(Nk, Ak @ W.T @ np.linalg.inv(B))
         close(R, pi @ (np.eye(hier.sizes[k - 1]) - Nk @ W))
+        close(A_coarse, R @ Ak @ R.T)
 
 
 def test_levels_are_dense_float_arrays(level_problem):
@@ -142,6 +143,43 @@ def test_validate_system_rejects_non_orthogonal_gamblets(op_1d_rough_q4, hier_1d
     )
     with pytest.raises(GambletError, match=r"A\^\(3\) != R A pi\^T"):
         validate_system(bad)
+
+
+def test_validate_system_requires_a_orthogonal_gamblets(op_1d_rough_q4, hier_1d_q4):
+    """A top level that keeps W N = I and A^(3) = R A pi^T but breaks R A W^T = 0 is refused.
+
+    With C = W A pi^T, X^T = B^-1 C + 1e-3 C (C^T C)^-1 M for a symmetric M
+    moves C^T X^T by 1e-3 M, which is symmetric. N, R and A^(3) formed from
+    that X^T by the Schur formulas then pass the first two checks, and levels
+    1..3 are an exact transform of that A^(3). Only R A W^T = C^T - X B is off.
+    """
+    sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
+    pi, W, A4, B = hier_1d_q4.pi_of(3), hier_1d_q4.w_of(4), sys.a_of(4), sys.b_of(4)
+    C = W @ A4 @ pi.T
+    M = symmetrize(np.random.default_rng(0).standard_normal((pi.shape[0], pi.shape[0])))
+    Xt = np.linalg.solve(B, C) + 1e-3 * C @ np.linalg.solve(C.T @ C, M)
+    N4 = W.T + pi.T @ Xt.T
+    R = pi - Xt.T @ W
+    coarse = gb.transform(symmetrize(pi @ A4 @ pi.T - C.T @ Xt), gb.build_dyadic(1, 3))
+    bad = gb.GambletSystem(
+        hier=hier_1d_q4,
+        a_levels=coarse.a_levels + [A4],
+        b_levels=coarse.b_levels + [B],
+        r_levels=coarse.r_levels + [R],
+        n_levels=coarse.n_levels + [N4],
+    )
+    with pytest.raises(GambletError, match=r"R\^\(3,4\) A W\^T != 0"):
+        validate_system(bad)
+
+
+@pytest.mark.parametrize("which", ["a", "n"])
+def test_validate_system_rejects_nan(op_1d_rough_q4, hier_1d_q4, which):
+    """A NaN makes every residual NaN, which no tolerance may accept."""
+    sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
+    m = sys.a_of(3) if which == "a" else sys.n_of(3)
+    m[1, 2] = np.nan
+    with pytest.raises(GambletError):
+        validate_system(sys)
 
 
 def test_transform_accepts_raw_matrix(hier_1d_q4, op_1d_rough_q4):
