@@ -10,6 +10,16 @@ solves are the norm: extreme_eigs is one LAPACK symmetric eigenvalue
 call. The CSV helpers read and write the plain-text matrices users
 supply (per-cell coefficients); stored systems use .npy files instead
 (see transform.save_system).
+
+Every pass that reads a matrix through its transpose (the symmetry
+check, symmetrize, transpose) walks it in _TILE x _TILE tiles. Read
+whole, m.T steps a full row (32 KB at N = 4096) per element and misses
+the cache on each one; a pair of 64 x 64 tiles (64 KB) stays in it,
+which made these passes 2.5 to 5 times faster at N = 4096. At N near
+1000, where a whole matrix fits in cache, they are up to twice as
+slow, a few milliseconds per transform. Each entry is still formed by
+the same IEEE operations, so the results are bit-identical to the
+whole-matrix forms (m + m.T) / 2 and m.T.
 """
 
 from __future__ import annotations
@@ -33,10 +43,42 @@ PIVOT_RTOL = 1e-14
 
 DENSE_CAP = 4096
 
+# Side of the square tiles the transposed passes walk (32 to 512 measured; 64 was fastest).
+_TILE = 64
+
+
+def _tile_pairs(n: int):
+    """Slices (r, c) of the tiles on and above the diagonal of an n x n matrix."""
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (m + m.T)/2, which is exactly symmetric in IEEE arithmetic."""
-    return (m + m.T) / 2.0
+    """Return (m + m.T)/2, which is exactly symmetric in IEEE arithmetic.
+
+    Formed per pair of mirror tiles: s = (m[r, c] + m[c, r].T) / 2 fills
+    tile (r, c) and s.T tile (c, r). IEEE addition commutes, so this is
+    bit for bit (m + m.T) / 2.
+    """
+    out = np.empty(m.shape, dtype=np.result_type(m, 2.0))
+    for r, c in _tile_pairs(m.shape[0]):
+        s = (m[r, c] + m[c, r].T) / 2.0
+        out[r, c] = s
+        out[c, r] = s.T
+    return out
+
+
+def transpose(m: np.ndarray) -> np.ndarray:
+    """m.T as a C-contiguous array, copied tile by tile (a view when m is Fortran-ordered)."""
+    if m.flags.f_contiguous:
+        return m.T
+    rows, cols = m.shape
+    out = np.empty((cols, rows), dtype=m.dtype)
+    for i in range(0, rows, _TILE):
+        for j in range(0, cols, _TILE):
+            out[j : j + _TILE, i : i + _TILE] = m[i : i + _TILE, j : j + _TILE].T
+    return out
 
 
 def _check_square_symmetric(m: np.ndarray, what: str = "matrix") -> None:
@@ -44,7 +86,7 @@ def _check_square_symmetric(m: np.ndarray, what: str = "matrix") -> None:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise BadConfig(f"{what} has a non-finite entry")
-    if not np.array_equal(m, m.T):
+    if not all(np.array_equal(m[r, c], m[c, r].T) for r, c in _tile_pairs(m.shape[0])):
         raise NotSPD(f"{what} is not exactly symmetric (call numerics.symmetrize first)")
 
 

@@ -9,13 +9,16 @@ orthogonal Haar basis [pi; W]: one solve of B against the |I^(k-1)|
 columns of C = W A pi^T gives N, R and A^(k-1), the Schur complement
 pi A pi^T - C^T B^-1 C, and R A R^T is never formed. Every system is
 then checked, to the fixed CONSTRUCTION_TOL, against W N = I,
-A^(k-1) = R A pi^T and R A W^T = 0, the A-orthogonality of the coarse
-gamblets to the details. Both the recursion and the check apply W^(k)
-and pi^(k-1,k), which are parent-local (one parent's children per
-row), as scipy.sparse matrices on the left of each product; every
-A/B/R/N is a dense ndarray, and the hierarchy keeps its dense filters.
-The operator must be finite, exactly symmetric and of the hierarchy's
-size.
+A^(k-1) = R A pi^T, R A W^T = 0 (the A-orthogonality of the coarse
+gamblets to the details) and B^(k) = W A W^T, and B^(1) must equal
+A^(1) exactly; the B checks add about a fifth to validation's time.
+Both the recursion and the check apply W^(k) and pi^(k-1,k), which
+are parent-local (one parent's children per row), as scipy.sparse
+matrices on the left of each product, and numerics.transpose copies
+the transposed operands of those products C-contiguous, tile by tile;
+every A/B/R/N the recursion forms is a dense, C-contiguous ndarray,
+and the hierarchy keeps its dense filters. The operator must be
+finite, exactly symmetric and of the hierarchy's size.
 oracle_transform() computes every A^(k) independently by inverting the
 measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists
 purely to cross-check the recursion, and like z_matrix() it is imported
@@ -48,11 +51,13 @@ from .hierarchy import Hierarchy, hierarchy_from_json
 from .numerics import (
     DENSE_CAP,
     CholFactor,
+    _TILE,
     _check_square_symmetric,
     cholesky,
     solve_spd,
     spd_inverse,
     symmetrize,
+    transpose,
 )
 
 log = logging.getLogger("gamblets")
@@ -149,19 +154,21 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
         N = W^T + pi^T X,  R = pi - X W,  A^(k-1) = pi A pi^T - C^T X^T,
     the last the Schur complement of B in A written in that basis. Every
     product has a sparse filter on the left and a dense result; W^T is
-    added into N entry by entry.
+    added into N entry by entry. numerics.transpose makes each transposed
+    operand of a sparse product, and of R's difference, C-contiguous
+    first; C stays a transposed view, which LAPACK reads as it is.
     """
     W, pi = _filters(hier, k)
-    AWt = np.ascontiguousarray((W @ Ak).T)  # A W^T, as A is symmetric; one transpose for B and C
+    AWt = transpose(W @ Ak)  # A W^T, as A is symmetric; one transpose for B and C
     B = symmetrize(W @ AWt)
     C = (pi @ AWt).T
     del AWt
     Xt = solve_spd(cholesky(B), C)
-    Nk = pi.T @ Xt.T
+    Nk = pi.T @ transpose(Xt)
     Wc = W.tocoo()
     Nk[Wc.col, Wc.row] += Wc.data
-    R = hier.pi_of(k - 1) - (W.T @ Xt).T
-    A_coarse = symmetrize(pi @ (pi @ Ak).T - C.T @ Xt)
+    R = hier.pi_of(k - 1) - transpose(W.T @ Xt)
+    A_coarse = symmetrize(pi @ transpose(pi @ Ak) - C.T @ Xt)
     return B, Nk, R, A_coarse
 
 
@@ -203,7 +210,7 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def validate_system(sys: GambletSystem) -> None:
-    """Check W N = I, A^(k-1) = R A pi^T and R A W^T = 0 per level of a system.
+    """Check B^(1) = A^(1), then W N = I, A^(k-1) = R A pi^T, R A W^T = 0 and B = W A W^T per level.
 
     What each check certifies, for N, R and A^(k-1) formed from
     X^T = B^-1 C as in _level_step:
@@ -215,11 +222,20 @@ def validate_system(sys: GambletSystem) -> None:
     - R A W^T = C^T - X B is the residual of the B solve: the defining
       A-orthogonality of the coarse gamblets to the details. As
       R^T = pi^T - W^T X^T, it makes R A pi^T equal R A R^T.
+    - B^(k) = W A W^T certifies the stored B, which solve (through
+      b_factor) and coefficient_energies read and no other check does.
+      B^(1) is A^(1) itself and must equal it exactly.
     W A is taken in blocks of |I^(k-1)| rows, so no |J^(k)| x |I^(k)|
-    temporary is formed. A NaN fails every comparison it enters.
+    temporary is formed; each block gives R A W^T and, _TILE rows at a
+    time, the matching columns of W A W^T, and is freed before the next
+    one is made. The B check adds one sparse product per level (about
+    0.2 s at 2D q6, where validation takes about 1.2 s). A NaN fails
+    every comparison it enters.
     """
+    if not np.array_equal(sys.b_of(1), sys.a_of(1)):
+        raise GambletError("B^(1) != A^(1)")
     for k in range(2, sys.q + 1):
-        Nk, Ak, R = sys.n_of(k), sys.a_of(k), sys.r_of(k)
+        Nk, Ak, R, B = sys.n_of(k), sys.a_of(k), sys.r_of(k), sys.b_of(k)
         W, pi = _filters(sys.hier, k)
         WN = W @ Nk
         WN[np.diag_indices_from(WN)] -= 1.0
@@ -231,9 +247,21 @@ def validate_system(sys: GambletSystem) -> None:
         if not a_err <= a_tol:
             raise GambletError(f"A^({k - 1}) != R A pi^T (max dev {a_err:.2e})")
         rows = pi.shape[0]
-        raw_err = max(_max_abs(R @ (W[i : i + rows, :] @ Ak).T) for i in range(0, W.shape[0], rows))
+        raw_errs, b_errs = [], []
+        for i in range(0, W.shape[0], rows):
+            WA = W[i : i + rows, :] @ Ak
+            raw_errs.append(_max_abs(R @ WA.T))
+            B_cols = B[:, i : i + rows]
+            for j in range(0, WA.shape[0], _TILE):
+                b_errs.append(_max_abs(W @ transpose(WA[j : j + _TILE]) - B_cols[:, j : j + _TILE]))
+            del WA
+        # np.max, unlike the builtin, keeps a NaN wherever it falls in the list.
+        raw_err = float(np.max(raw_errs, initial=0.0))
         if not raw_err <= a_tol:
             raise GambletError(f"R^({k - 1},{k}) A W^T != 0 (max dev {raw_err:.2e})")
+        b_err = float(np.max(b_errs, initial=0.0))
+        if not b_err <= a_tol:
+            raise GambletError(f"B^({k}) != W A W^T (max dev {b_err:.2e})")
 
 
 def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
@@ -414,9 +442,11 @@ def save_system(sys: GambletSystem, dirpath) -> None:
     """Store a system as one .npy file per matrix plus hierarchy.json and a manifest.
 
     Matrices are written losslessly by np.save (no pickling), whose
-    header is deterministic, so two saves of one system are
-    byte-identical. hierarchy.json holds the hierarchy's recipe
-    (Hierarchy.to_json). The manifest records the sha256 of every file.
+    header is deterministic, and always in C order (a Fortran-ordered
+    array, such as a caller's A^(q), would get another header and other
+    bytes), so two saves of equal systems are byte-identical.
+    hierarchy.json holds the hierarchy's recipe (Hierarchy.to_json).
+    The manifest records the sha256 of every file.
     """
     os.makedirs(dirpath, exist_ok=True)
     files: dict[str, str] = {"hierarchy": "hierarchy.json"}
@@ -424,7 +454,7 @@ def save_system(sys: GambletSystem, dirpath) -> None:
         fh.write(sys.hier.to_json().encode())
     for name, m in _matrices(sys).items():
         files[name] = f"{name}.npy"
-        np.save(os.path.join(dirpath, files[name]), m, allow_pickle=False)
+        np.save(os.path.join(dirpath, files[name]), np.ascontiguousarray(m), allow_pickle=False)
     digests = {name: _file_sha256(os.path.join(dirpath, f)) for name, f in files.items()}
     manifest = {
         "format": FORMAT,

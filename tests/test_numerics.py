@@ -10,12 +10,14 @@ from scipy.stats import chi2 as chi2_dist
 import gamblets as gb
 from gamblets import BadConfig, NotSPD, InvalidProbability
 from gamblets.numerics import (
+    _check_square_symmetric,
     cholesky,
     solve_spd,
     spd_inverse,
     extreme_eigs,
     chi_square_quantile,
     symmetrize,
+    transpose,
     dump_matrix_csv,
     load_matrix_csv,
 )
@@ -92,6 +94,48 @@ def test_symmetrize_averages_off_diagonal():
     s = symmetrize(m)
     assert_allclose(s, [[1.0, 3.0], [3.0, 5.0]])
     assert_allclose(s, s.T)
+
+
+# ---------------------------------------------------------------------------
+# Tiled transposed passes. With 64 x 64 tiles, n = 1 and 63 fit in one
+# tile, 64 fills it, 65 adds a ragged edge, and 130 is two full tiles
+# and a ragged one.
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_symmetrize_is_bitwise_half_sum(n):
+    m = np.random.default_rng(n).standard_normal((n, n))
+    s = symmetrize(m)
+    assert np.array_equal(s, (m + m.T) / 2.0)
+    assert np.array_equal(s, s.T)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (65, 130), (130, 65)])
+def test_transpose_is_c_contiguous(shape):
+    m = np.random.default_rng(sum(shape)).standard_normal(shape)
+    for src in (m, np.asfortranarray(m), np.hstack([m, m])[:, : shape[1]]):
+        t = transpose(src)
+        assert np.array_equal(t, m.T)
+        assert t.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "where",
+    [(5, 9), (3, 100), (129, 70), (128, 129)],
+    ids=["diagonal-tile", "off-diagonal-tile", "ragged-row-tile", "ragged-corner-tile"],
+)
+def test_symmetry_check_finds_one_flipped_entry(where):
+    a = random_spd(130, 5)
+    _check_square_symmetric(a)
+    a[where] = np.nextafter(a[where], np.inf)
+    with pytest.raises(NotSPD, match="not exactly symmetric"):
+        _check_square_symmetric(a)
+
+
+def test_symmetry_check_reports_nan_before_asymmetry():
+    a = random_spd(130, 6)
+    a[3, 100] = np.nan
+    with pytest.raises(BadConfig, match="non-finite"):
+        _check_square_symmetric(a)
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,17 @@ def test_level_step_matches_dense_formulas(level_problem):
 
 
 def test_levels_are_dense_float_arrays(level_problem):
-    """No np.matrix or sparse type leaks out of the sparse-filter products."""
+    """No np.matrix or sparse type leaks out of the sparse-filter products.
+
+    Every level is C-contiguous too: np.save writes an F-ordered array
+    with another header and other bytes, so the stored digests rest on it.
+    """
     hier, A = level_problem
     for build in (gb.transform, oracle_transform):
         sys = build(A, hier)
         for m in sys.a_levels + sys.b_levels + sys.r_levels + sys.n_levels:
             assert type(m) is np.ndarray and m.dtype == np.float64
+            assert m.flags.c_contiguous
 
 
 def test_detail_blocks_uniformly_conditioned(sys_1d_rough_q6):
@@ -172,11 +177,30 @@ def test_validate_system_requires_a_orthogonal_gamblets(op_1d_rough_q4, hier_1d_
         validate_system(bad)
 
 
-@pytest.mark.parametrize("which", ["a", "n"])
+def test_validate_system_reads_b(op_1d_rough_q4, hier_1d_q4):
+    """A B^(4) that no longer equals W A W^T is refused; solve would read it."""
+    sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
+    sys.b_levels[3] = sys.b_of(4) + 0.1 * np.abs(sys.b_of(4)).max()
+    with pytest.raises(GambletError, match=r"B\^\(4\) != W A W\^T"):
+        validate_system(sys)
+
+
+def test_validate_system_requires_b1_equal_a1(sys_1d_rough_q4, tmp_path):
+    """A loaded B^(1) is its own array, no longer A^(1) itself; it must still equal it."""
+    gb.save_system(sys_1d_rough_q4, tmp_path / "system")
+    back = gb.load_system(tmp_path / "system")
+    assert back.b_of(1) is not back.a_of(1)
+    validate_system(back)
+    back.b_levels[0] = 2.0 * back.b_of(1)
+    with pytest.raises(GambletError, match=r"B\^\(1\) != A\^\(1\)"):
+        validate_system(back)
+
+
+@pytest.mark.parametrize("which", ["a", "b", "n"])
 def test_validate_system_rejects_nan(op_1d_rough_q4, hier_1d_q4, which):
     """A NaN makes every residual NaN, which no tolerance may accept."""
     sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
-    m = sys.a_of(3) if which == "a" else sys.n_of(3)
+    m = {"a": sys.a_of, "b": sys.b_of, "n": sys.n_of}[which](3)
     m[1, 2] = np.nan
     with pytest.raises(GambletError):
         validate_system(sys)
@@ -381,6 +405,15 @@ def test_save_is_byte_identical(sys_1d_rough_q4, tmp_path):
     assert (one / "hierarchy.json").read_bytes() == recipe
     assert manifest["hierarchy_sha256"] == hashlib.sha256(recipe).hexdigest()
     assert set(manifest["sha256"]) == set(manifest["files"]) - {"hierarchy"}
+
+
+def test_save_ignores_memory_order(op_1d_rough_q4, hier_1d_q4, tmp_path):
+    """A Fortran-ordered operator, kept as A^(q), is stored with the same bytes as a C-ordered one."""
+    A = op_1d_rough_q4.A
+    for name, a in [("c", np.ascontiguousarray(A)), ("f", np.asfortranarray(A))]:
+        gb.save_system(gb.transform(a, hier_1d_q4), tmp_path / name)
+    # The manifest holds every file's sha256.
+    assert (tmp_path / "c" / "manifest.json").read_bytes() == (tmp_path / "f" / "manifest.json").read_bytes()
 
 
 def test_load_rejects_csv_store(sys_1d_rough_q4, tmp_path):
