@@ -16,9 +16,9 @@ column, and treats it in one pass: the level filter and thresholding
 are linear or entry-wise in the wavelet coefficients, and
 regularization solves all columns in one eigenbasis of A.
 
-gen_signal draws a source and solves for its signal; given a sequence
-of generators it draws one column per generator and solves the block
-at once. It is the only place that draws f or solves A u = O f.
+gen_signal draws a source and solves for its signal with transform.solve;
+given a sequence of generators it draws one column per generator and
+solves the block at once. It is the only place that draws f.
 
 run_trials evaluates all methods on identical signal/noise draws and
 aggregates error statistics. It is the PDE front end of the one trial
@@ -49,15 +49,17 @@ from .errors import (
     LevelZero,
     NoBracketWarning,
 )
-from .numerics import CholFactor, _check_square_symmetric, chi_square_quantile, cholesky, solve_spd
+from .numerics import _check_square_symmetric, chi_square_quantile
 from .operators import _G3_W, _G3_X, measurement_overlap
 from .transform import (
     GambletSystem,
     MultiresCoefficients,
+    _check_block,
     analyze,
     coefficient_energies,
     energy_norm,
     reconstruct,
+    solve,
 )
 
 log = logging.getLogger("gamblets")
@@ -210,6 +212,7 @@ def threshold_schedule(cfg: DenoiseConfig, t0: float) -> np.ndarray:
 
 def _shrink(c: MultiresCoefficients, ts: np.ndarray, rule) -> MultiresCoefficients:
     """Apply `rule` to every level k of the coefficients c with threshold ts[k]."""
+    _require_finite(thresholds=ts)
     if np.any(ts < 0):
         raise BadConfig(f"thresholds must be >= 0, got {ts}")
     return MultiresCoefficients([rule(ck, ts[k]) for k, ck in enumerate(c.levels)])
@@ -348,14 +351,15 @@ def regularize(
 
     For an (N, T) block every column is solved in the one eigenbasis of
     A; alpha is then a (T,) array, NaN where the zero vector is returned.
-    A must be finite (else BadConfig) and exactly symmetric (else NotSPD).
+    A must be finite (else BadConfig) and exactly symmetric (else NotSPD);
+    a NaN or inf sigma or gamma raises BadConfig.
     """
+    _require_finite(sigma=sigma, gamma=gamma)
     A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
     _check_square_symmetric(A, "operator")
     y = np.asarray(y, dtype=float)
     n = A.shape[0]
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise DimensionMismatch(f"signal shape {y.shape}, matrix order {n}")
+    _check_block(y, n, "signal")
     if gamma is None:
         if sigma < 0:
             raise BadConfig(f"sigma must be >= 0, got {sigma}")
@@ -443,15 +447,15 @@ def _source_coefficients(op, mode: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_signal(
-    hier,
+    sys: GambletSystem,
     op,
     mode: str,
     rng: np.random.Generator | Sequence[np.random.Generator],
     overlap: np.ndarray | None = None,
-    factor: CholFactor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a source f and the corresponding solution u of A u = O f.
+    """Sample a source f and the solution u = solve(sys, O f) of A u = O f.
 
+    sys is transform of op; O defaults to measurement_overlap(sys.hier, op).
     random-sphere draws the source coefficients uniformly from the unit
     Euclidean sphere (the measurement functions are orthonormal, so
     this is the unit sphere of the source space); the smooth modes
@@ -469,10 +473,8 @@ def gen_signal(
     else:
         raise BadConfig("gen_signal needs a generator or a non-empty sequence of them")
     if overlap is None:
-        overlap = measurement_overlap(hier, op)
-    if factor is None:
-        factor = cholesky(op.A)
-    return f, solve_spd(factor, overlap @ f)
+        overlap = measurement_overlap(sys.hier, op)
+    return f, solve(sys, overlap @ f)
 
 
 def add_noise(u: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -481,6 +483,7 @@ def add_noise(u: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarr
     u must be one (N,) vector, else DimensionMismatch: the trial engine
     draws each column's noise from that trial's own generator.
     """
+    _require_finite(sigma=sigma)
     if sigma < 0:
         raise BadConfig(f"sigma must be >= 0, got {sigma}")
     u = np.asarray(u, dtype=float)
@@ -513,10 +516,9 @@ def _trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
 
 
 def _pde_source(sys: GambletSystem, op, mode: str):
-    """Block source of run_trials: gen_signal on the trials' generators, one factor of A."""
+    """Block source of run_trials: gen_signal on the trials' generators, one overlap O for all."""
     overlap = measurement_overlap(sys.hier, op)
-    factor = cholesky(op.A)
-    return lambda rngs: gen_signal(sys.hier, op, mode, rngs, overlap, factor)
+    return lambda rngs: gen_signal(sys, op, mode, rngs, overlap)
 
 
 def _draw_trials(source, sigma: float, seed: int, stream: int, count: int):

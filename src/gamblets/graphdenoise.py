@@ -7,12 +7,12 @@ index sets. estimate_H_d fits both by least squares, and
 _graph_config puts them into a DenoiseConfig in place of (h^s, d), so
 that select_level of denoise.py picks the level. denoise_graph is the
 end-to-end pipeline: ground, build a hierarchy from vertex coordinates,
-transform, fit the scales, then hand the fixed clean signal to the
-trial engine of denoise.py, which adds the noise and runs the level
-filter and a hard threshold that is the same on every level. The first
-trial's clean signal, noisy signal and recoveries come back in
-stats.first_realization, and the selected level in stats.level; the
-output holds no second copy of either.
+transform, fit the scales, solve for the clean signal with
+transform.solve, then hand it to the trial engine of denoise.py, which
+adds the noise and runs the level filter and a hard threshold that is
+the same on every level. The first trial's clean signal, noisy signal
+and recoveries come back in stats.first_realization, and the selected
+level in stats.level; the output holds no second copy of either.
 
 Vertices are re-indexed internally to the hierarchy's fine-box order;
 everything returned to the caller is in the original vertex order.
@@ -33,9 +33,9 @@ from .denoise import (
 )
 from .errors import BadConfig, DimensionMismatch, GambletError, TooFewLevels
 from .hierarchy import build_from_points
-from .numerics import cholesky, extreme_eigs, solve_spd
+from .numerics import extreme_eigs
 from .operators import DiscreteOperator, GeometricGraph, grounded_laplacian
-from .transform import GambletSystem, transform
+from .transform import GambletSystem, solve, transform
 
 GRAPH_METHODS = ("level-filter", "hard-threshold")
 
@@ -128,20 +128,20 @@ def denoise_graph(
     The source f is a function of the normalized vertex coordinates
     (`signal` may be a callable taking the (n, dim) coordinate array, a
     vector of per-vertex values, or None for the smooth-2d formula of
-    denoise.py). u solves the grounded system L u = f, and each trial
-    adds i.i.d. N(0, sigma^2) noise per free vertex. sigma may be given
-    directly or as sigma_rms times the RMS of u, not both; the prior bound
-    is |f|. Both or neither of sigma and sigma_rms, a non-finite one, a
-    negative sigma, a sigma_rms <= 0 and trials < 1 raise BadConfig,
-    naming the value, before any work; a signal with NaN or inf raises
-    it once the signal is read. Recovery uses the level filter at the
-    level chosen from the fitted (H, d_eff) among the system's levels,
-    which number fewer than q when the hierarchy merged a degenerate one,
-    with a hard threshold that is the same on every level as the
-    comparator, its value tuned over 16 multiples of sigma on 16 pairs of
-    a separate noise stream. Both run in the trial engine of denoise.py;
-    its outputs are permuted back to vertex order here, and the first
-    trial's level-filter recovery is
+    denoise.py). u = solve(sys, f) solves the grounded system L u = f on
+    the transformed system, and each trial adds i.i.d. N(0, sigma^2) noise
+    per free vertex. sigma may be given directly or as sigma_rms times the
+    RMS of u, not both; the prior bound is |f|. Both or neither of sigma
+    and sigma_rms, a non-finite one, a negative sigma, a sigma_rms <= 0
+    and trials < 1 raise BadConfig, naming the value, before any work; a
+    signal with NaN or inf raises it once the signal is read. Recovery
+    uses the level filter at the level chosen from the fitted (H, d_eff)
+    among the system's levels, which number fewer than q when the
+    hierarchy merged a degenerate one, with a hard threshold that is the
+    same on every level as the comparator, its value tuned over 16
+    multiples of sigma on 16 pairs of a separate noise stream. Both run in
+    the trial engine of denoise.py; its outputs are permuted back to
+    vertex order here, and the first trial's level-filter recovery is
     stats.first_realization["recoveries"]["level-filter"].
     """
     if trials < 1:
@@ -167,10 +167,9 @@ def denoise_graph(
     p = hier.point_fine_label
     inv = np.empty(op.n, dtype=int)
     inv[p] = np.arange(op.n)
-    a_box = op.A[np.ix_(inv, inv)]
     coords_box = op.node_coords[inv]
     op_box = DiscreteOperator(
-        A=a_box, mass=np.eye(op.n), dim=op.dim, q=hier.q,
+        A=op.A[np.ix_(inv, inv)], mass=np.eye(op.n), dim=op.dim, q=hier.q,
         mesh_width=0.0, kind="graph", node_coords=coords_box,
     )
 
@@ -187,15 +186,14 @@ def denoise_graph(
             raise DimensionMismatch(f"signal has shape {f_vert.shape}, expected ({op.n},)")
         f_box = f_vert[inv]
     _require_finite(signal=f_box)
-    u_box = solve_spd(cholesky(a_box), f_box)
+    u_box = solve(sys, f_box)
 
     if sigma is None:
         sigma = float(sigma_rms * np.sqrt(np.mean(u_box**2)))
     bound = float(np.linalg.norm(f_box))
 
     def source(rngs):
-        t = len(rngs)
-        return np.repeat(f_box[:, None], t, axis=1), np.repeat(u_box[:, None], t, axis=1)
+        return np.tile(f_box[:, None], len(rngs)), np.tile(u_box[:, None], len(rngs))
 
     stats = _trial_engine(
         sys, op_box, _graph_config(est, sigma, bound, sys.q), source, np.ones(sys.q),

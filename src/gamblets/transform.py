@@ -25,10 +25,10 @@ purely to cross-check the recursion, and like z_matrix() it is imported
 from this module, not from the package root. analyze()/reconstruct()
 move signals between fine coefficients and per-level wavelet
 coefficients, one vector or an (N, T) block of T signals at a time,
-solve() is the multilevel solver, and z_matrix() assembles the noise
-covariance scaling of the dual wavelets. Each diagonal (per-level) block of Z has
-lambda_min >= 1; the full Z can fall below 1 through its cross-level
-blocks.
+solve() is the package's one solver for A u = f, and z_matrix()
+assembles the noise covariance scaling of the dual wavelets. Each
+diagonal (per-level) block of Z has lambda_min >= 1; the full Z can
+fall below 1 through its cross-level blocks.
 
 save_system()/load_system() store a system as one .npy file per
 A/B/R/N matrix, the hierarchy's recipe (not its pi and W, which the
@@ -110,7 +110,7 @@ class GambletSystem:
         return self.n_levels[k - 2]
 
     def b_factor(self, k: int) -> CholFactor:
-        """Cholesky factor of B^(k), computed on first use and kept for solve."""
+        """Cholesky factor of B^(k), made on first use and kept for solve; A itself is never factored."""
         if not self._b_factors:
             self._b_factors = [None] * self.q
         f = self._b_factors[k - 1]
@@ -344,10 +344,9 @@ def reconstruct(sys: GambletSystem, c: MultiresCoefficients, upto: int | None = 
 
 
 def solve(sys: GambletSystem, f: np.ndarray) -> np.ndarray:
-    """Multilevel solve of A x = f given the fine load vector f."""
+    """Multilevel solve of A x = f for a fine load f: an (N,) vector or an (N, T) block of T loads."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (sys.n_fine,):
-        raise DimensionMismatch(f"load shape {f.shape}, expected ({sys.n_fine},)")
+    _check_block(f, sys.n_fine, "load")
     levels: list[np.ndarray] = [None] * sys.q
     fk = f
     for k in range(sys.q, 1, -1):

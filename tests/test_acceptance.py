@@ -33,7 +33,6 @@ import pytest
 import gamblets as gb
 from gamblets.denoise import energy_growth_check
 from gamblets.numerics import cholesky, extreme_eigs, solve_spd
-from gamblets.operators import measurement_overlap
 from gamblets.transform import coefficient_energies, energy_norm, oracle_transform, z_matrix
 from conftest import random_spd
 
@@ -99,7 +98,7 @@ def level_error_avgs(sys, op, cfg, n_trials: int, seed: int) -> np.ndarray:
     the B-energy of levels > l of c(u).
     """
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0, k])) for k in range(n_trials)]
-    _, u = gb.gen_signal(sys.hier, op, cfg.signal, rngs)
+    _, u = gb.gen_signal(sys, op, cfg.signal, rngs)
     zeta = np.column_stack([gb.add_noise(u[:, k], cfg.sigma, rng) for k, rng in enumerate(rngs)]) - u
     picked = np.cumsum(coefficient_energies(sys, gb.analyze(sys, zeta)), axis=0)
     lost = np.cumsum(coefficient_energies(sys, gb.analyze(sys, u))[::-1], axis=0)[::-1]
@@ -226,8 +225,7 @@ def test_criterion_05_uniform_conditioning(pde_1d_q8):
 
 def test_criterion_06_approximation_rate(pde_1d_q8):
     op, sys = pde_1d_q8
-    overlap = measurement_overlap(sys.hier, op)
-    _, u = gb.gen_signal(sys.hier, op, "smooth-1d", np.random.default_rng(0), overlap)
+    _, u = gb.gen_signal(sys, op, "smooth-1d", np.random.default_rng(0))
     c = gb.analyze(sys, u)
     errs = [energy_norm(op, u - gb.reconstruct(sys, c, upto=k)) for k in range(3, 8)]
     ratios = [b / a for a, b in zip(errs, errs[1:])]

@@ -113,17 +113,17 @@ def test_estimators_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, see
     seed=st.integers(0, 2**32 - 1),
     mode=st.sampled_from(["random-sphere", "smooth-1d"]),
 )
-def test_gen_signal_block_equals_columns(hier_1d_q4, op_1d_rough_q4, t, seed, mode):
-    hier, op = hier_1d_q4, op_1d_rough_q4
+def test_gen_signal_block_equals_columns(sys_1d_rough_q4, op_1d_rough_q4, t, seed, mode):
+    sys, op = sys_1d_rough_q4, op_1d_rough_q4
 
     def rngs():
         return [np.random.default_rng([seed, k]) for k in range(t)]
 
     block_rngs = rngs()
-    f, u = gb.gen_signal(hier, op, mode, block_rngs)
+    f, u = gb.gen_signal(sys, op, mode, block_rngs)
     assert f.shape == u.shape == (op.n, t)
     for j, rng in enumerate(rngs()):
-        fj, uj = gb.gen_signal(hier, op, mode, rng)
+        fj, uj = gb.gen_signal(sys, op, mode, rng)
         np.testing.assert_array_equal(f[:, j], fj)
         close(u[:, j], uj)
         # generator j is left where the column call leaves it, so the noise drawn next agrees

@@ -473,7 +473,7 @@ PINNED = {
     "graph": (
         ["graph", "--synthetic-grid", "8", "--q", "3", "--sigma-rms", "0.01", "--trials", "3"],
         2,
-        {"hard-threshold": 0.852216341842035},
+        {"hard-threshold": 0.8522163418420383},
         {
             "level-filter": (2.2702248577931363, 0.042599314538336437,
                              1.4701898234477078, 0.11985864610361088),

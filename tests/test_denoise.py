@@ -13,7 +13,6 @@ from gamblets.denoise import (
     tune_threshold,
 )
 from gamblets.errors import LevelZero
-from gamblets.numerics import cholesky
 from gamblets.operators import measurement_overlap
 from gamblets.transform import energy_norm
 from conftest import random_spd
@@ -155,10 +154,9 @@ def test_tune_threshold_picks_grid_minimizer(sys_1d_rough_q6, op_1d_rough_q6):
     cfg = make_cfg(q=6, sigma=1e-2)
     rng = np.random.default_rng(5)
     overlap = measurement_overlap(sys_1d_rough_q6.hier, op_1d_rough_q6)
-    factor = cholesky(op_1d_rough_q6.A)
     pairs = []
     for _ in range(6):
-        _, u = gb.gen_signal(sys_1d_rough_q6.hier, op_1d_rough_q6, "random-sphere", rng, overlap, factor)
+        _, u = gb.gen_signal(sys_1d_rough_q6, op_1d_rough_q6, "random-sphere", rng, overlap)
         pairs.append((u, gb.add_noise(u, cfg.sigma, rng)))
     grid = default_threshold_grid(cfg)
     t_star = tune_threshold(sys_1d_rough_q6, pairs, grid, cfg)
@@ -239,42 +237,38 @@ def test_regularize_warns_when_constraint_unreachable():
 # ---------------------------------------------------------------------------
 # Signals and noise.
 
-def test_random_sphere_signal_normalized(hier_1d_q6, op_1d_rough_q6):
-    overlap = measurement_overlap(hier_1d_q6, op_1d_rough_q6)
-    factor = cholesky(op_1d_rough_q6.A)
+def test_random_sphere_signal_normalized(sys_1d_rough_q6, op_1d_rough_q6):
+    overlap = measurement_overlap(sys_1d_rough_q6.hier, op_1d_rough_q6)
     rng = np.random.default_rng(6)
-    f, u = gb.gen_signal(hier_1d_q6, op_1d_rough_q6, "random-sphere", rng, overlap, factor)
+    f, u = gb.gen_signal(sys_1d_rough_q6, op_1d_rough_q6, "random-sphere", rng, overlap)
     assert np.linalg.norm(f) == pytest.approx(1.0)
     assert np.linalg.norm(op_1d_rough_q6.A @ u - overlap @ f) < 1e-10
 
 
-def test_smooth_signal_first_cell(hier_1d_q6, op_1d_rough_q6):
+def test_smooth_signal_first_cell(sys_1d_rough_q6, op_1d_rough_q6):
     # the 1d source formula starts at height pi at the origin
-    overlap = measurement_overlap(hier_1d_q6, op_1d_rough_q6)
-    factor = cholesky(op_1d_rough_q6.A)
+    overlap = measurement_overlap(sys_1d_rough_q6.hier, op_1d_rough_q6)
     rng = np.random.default_rng(7)
-    f, _ = gb.gen_signal(hier_1d_q6, op_1d_rough_q6, "smooth-1d", rng, overlap, factor)
+    f, _ = gb.gen_signal(sys_1d_rough_q6, op_1d_rough_q6, "smooth-1d", rng, overlap)
     assert f[0] == pytest.approx(np.sqrt(1 / 64) * np.pi, rel=1e-3)
-    f2, _ = gb.gen_signal(hier_1d_q6, op_1d_rough_q6, "smooth-1d", rng, overlap, factor)
+    f2, _ = gb.gen_signal(sys_1d_rough_q6, op_1d_rough_q6, "smooth-1d", rng, overlap)
     assert_allclose(f, f2, atol=0)  # deterministic: rng unused
 
 
-def test_smooth_2d_signal(hier_2d_q3, op_2d_rough_q3):
-    overlap = measurement_overlap(hier_2d_q3, op_2d_rough_q3)
-    factor = cholesky(op_2d_rough_q3.A)
-    f, u = gb.gen_signal(hier_2d_q3, op_2d_rough_q3, "smooth-2d", np.random.default_rng(8), overlap, factor)
+def test_smooth_2d_signal(sys_2d_rough_q3, op_2d_rough_q3):
+    f, u = gb.gen_signal(sys_2d_rough_q3, op_2d_rough_q3, "smooth-2d", np.random.default_rng(8))
     assert f.shape == (64,)
     assert np.linalg.norm(u) > 0
 
 
-def test_gen_signal_rejects_unknown_mode(hier_1d_q4, op_1d_rough_q4):
+def test_gen_signal_rejects_unknown_mode(sys_1d_rough_q4, op_1d_rough_q4):
     with pytest.raises(BadConfig):
-        gb.gen_signal(hier_1d_q4, op_1d_rough_q4, "triangle", np.random.default_rng(0))
+        gb.gen_signal(sys_1d_rough_q4, op_1d_rough_q4, "triangle", np.random.default_rng(0))
 
 
-def test_gen_signal_block_needs_a_generator(hier_1d_q4, op_1d_rough_q4):
+def test_gen_signal_block_needs_a_generator(sys_1d_rough_q4, op_1d_rough_q4):
     with pytest.raises(BadConfig, match="non-empty sequence"):
-        gb.gen_signal(hier_1d_q4, op_1d_rough_q4, "random-sphere", [])
+        gb.gen_signal(sys_1d_rough_q4, op_1d_rough_q4, "random-sphere", [])
 
 
 def test_add_noise_statistics():
@@ -290,6 +284,26 @@ def test_add_noise_refuses_blocks(shape):
     # each trial's noise comes from its own generator, so a block has no one right answer
     with pytest.raises(gb.DimensionMismatch, match="one \\(N,\\) vector"):
         gb.add_noise(np.zeros(shape), 0.1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda sys, op, y: gb.regularize(op, y, sigma=np.nan), "sigma"),
+        (lambda sys, op, y: gb.regularize(op, y, 0.1, gamma=np.nan), "gamma"),
+        (lambda sys, op, y: gb.regularize(op, y, 0.1, gamma=np.inf), "gamma"),
+        (lambda sys, op, y: gb.add_noise(y, np.nan, np.random.default_rng(0)), "sigma"),
+        (lambda sys, op, y: gb.hard_threshold(sys, y, np.nan, make_cfg()), "thresholds"),
+        (lambda sys, op, y: gb.soft_threshold(sys, y, np.nan, make_cfg()), "thresholds"),
+        (lambda sys, op, y: gb.soft_threshold(sys, y, np.inf, make_cfg()), "thresholds"),
+    ],
+    ids=["regularize-sigma", "regularize-gamma", "regularize-gamma-inf", "add_noise",
+         "hard_threshold", "soft_threshold", "soft_threshold-inf"],
+)
+def test_non_finite_scalars_are_refused(sys_1d_rough_q4, op_1d_rough_q4, call, name):
+    y = np.random.default_rng(12).standard_normal(16)
+    with pytest.raises(BadConfig, match=f"{name} must be finite"):
+        call(sys_1d_rough_q4, op_1d_rough_q4, y)
 
 
 def test_errors_identities(op_1d_rough_q4):

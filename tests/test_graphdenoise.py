@@ -167,7 +167,7 @@ def test_pipeline_config_errors():
     ],
 )
 def test_pipeline_rejects_non_finite_inputs(kwargs, field):
-    with np.errstate(divide="ignore"), pytest.raises(BadConfig, match=f"{field} must be finite"):
+    with np.errstate(divide="ignore", over="ignore"), pytest.raises(BadConfig, match=f"{field} must be finite"):
         gb.denoise_graph(gb.synthetic_grid(8), q=3, trials=2, **kwargs)
 
 

@@ -282,12 +282,20 @@ def test_coefficient_sizes(sys_1d_rough_q4):
 
 
 def test_solve_matches_direct(sys_1d_rough_q6, op_1d_rough_q6):
+    sys, op = sys_1d_rough_q6, op_1d_rough_q6
     rng = np.random.default_rng(5)
-    f = rng.standard_normal(64)
-    x = gb.solve(sys_1d_rough_q6, f)
-    direct = np.linalg.solve(op_1d_rough_q6.A, f)
-    err = energy_norm(op_1d_rough_q6, x - direct) / energy_norm(op_1d_rough_q6, direct)
-    assert err < 1e-9
+    for f in (rng.standard_normal(64), rng.standard_normal((64, 7))):  # a load, then a block of 7
+        x = gb.solve(sys, f)
+        assert x.shape == f.shape
+        direct = np.linalg.solve(op.A, f)
+        err = energy_norm(op, x - direct) / energy_norm(op, direct)
+        assert np.all(err < 1e-9)
+    # each column of the block solve is the solve of that column, up to rounding
+    cols = np.column_stack([gb.solve(sys, f[:, j]) for j in range(f.shape[1])])
+    assert np.abs(x - cols).max() <= 1e-12 * np.abs(x).max()
+    for bad in (np.zeros((64, 2, 2)), np.zeros(63), np.zeros((63, 3))):
+        with pytest.raises(DimensionMismatch):
+            gb.solve(sys, bad)
 
 
 def test_energy_norm_validates_shape(op_1d_rough_q4):
