@@ -48,8 +48,9 @@ from .errors import (
     EmptyGrid,
     LevelZero,
     NoBracketWarning,
+    NotSPD,
 )
-from .numerics import _check_square_symmetric, chi_square_quantile
+from .numerics import PIVOT_RTOL, _check_square_symmetric, chi_square_quantile
 from .operators import _G3_W, _G3_X, measurement_overlap
 from .transform import (
     GambletSystem,
@@ -351,7 +352,8 @@ def regularize(
 
     For an (N, T) block every column is solved in the one eigenbasis of
     A; alpha is then a (T,) array, NaN where the zero vector is returned.
-    A must be finite (else BadConfig) and exactly symmetric (else NotSPD);
+    A must be finite (else BadConfig), exactly symmetric and, where alpha
+    is solved for, semidefinite to PIVOT_RTOL max |lambda| (else NotSPD);
     a NaN or inf sigma or gamma raises BadConfig.
     """
     _require_finite(sigma=sigma, gamma=gamma)
@@ -378,6 +380,8 @@ def regularize(
         energy[live] = energy_norm(A, ys[:, live])
     elif live.any():
         lam, vecs = np.linalg.eigh(A)
+        if lam[0] < -PIVOT_RTOL * max(-lam[0], lam[-1]):
+            raise NotSPD(f"operator is indefinite (lambda_min {lam[0]:.3e}); the recovery has no minimum")
         yhat = vecs.T @ ys[:, live]
         a, unreached = _secular_alpha(lam, yhat, gamma)
         if unreached.any():

@@ -4,31 +4,19 @@ transform() runs the level-by-level recursion: for k = q..2 it forms
 the detail Gram matrix B^(k) = W A^(k) W^T, the dual-update matrix
 N^(k) = A^(k) W^T B^(k),-1, the coarsening map
 R^(k-1,k) = pi^(k-1,k) (I - N^(k) W^(k)) and the coarse operator
-A^(k-1) = R A^(k) R^T. It forms them by eliminating the details in the
-orthogonal Haar basis [pi; W]: one solve of B against the |I^(k-1)|
-columns of C = W A pi^T gives N, R and A^(k-1), the Schur complement
-pi A pi^T - C^T B^-1 C, and R A R^T is never formed. Every system is
-then checked, to the fixed CONSTRUCTION_TOL, against W N = I,
-A^(k-1) = R A pi^T, R A W^T = 0 (the A-orthogonality of the coarse
-gamblets to the details) and B^(k) = W A W^T, and B^(1) must equal
-A^(1) exactly; the B checks add about a fifth to validation's time.
-Both the recursion and the check apply W^(k) and pi^(k-1,k), which
-are parent-local (one parent's children per row), as scipy.sparse
-matrices on the left of each product, and numerics.transpose copies
-the transposed operands of those products C-contiguous, tile by tile;
-every A/B/R/N the recursion forms is a dense, C-contiguous ndarray,
-and the hierarchy keeps its dense filters. The operator must be
-finite, exactly symmetric and of the hierarchy's size.
-oracle_transform() computes every A^(k) independently by inverting the
-measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k); it exists
-purely to cross-check the recursion, and like z_matrix() it is imported
-from this module, not from the package root. analyze()/reconstruct()
-move signals between fine coefficients and per-level wavelet
-coefficients, one vector or an (N, T) block of T signals at a time,
-solve() is the package's one solver for A u = f, and z_matrix()
-assembles the noise covariance scaling of the dual wavelets. Each
-diagonal (per-level) block of Z has lambda_min >= 1; the full Z can
-fall below 1 through its cross-level blocks.
+A^(k-1) = R A^(k) R^T, all from one solve of B in the orthogonal Haar
+basis [pi; W] (_level_step), and validate_system checks every system
+it returns. Every product with W^(k) or pi^(k-1,k), there and in
+analyze, reconstruct and solve, takes the sparse forms that
+Hierarchy.filters hands out; every A/B/R/N is a dense, C-contiguous
+ndarray. The operator must be finite, exactly symmetric and of the
+hierarchy's size. oracle_transform() computes every A^(k) by inverting
+the measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k) to
+cross-check the recursion; like z_matrix(), the dual wavelets' noise
+Gram matrix, it is imported from this module, not from the package
+root. analyze()/reconstruct() move signals between fine coefficients
+and per-level wavelet coefficients, one vector or an (N, T) block of T
+signals at a time, and solve() is the package's one solver for A u = f.
 
 save_system()/load_system() store a system as one .npy file per
 A/B/R/N matrix, the hierarchy's recipe (not its pi and W, which the
@@ -44,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, TooLarge
 from .hierarchy import Hierarchy, hierarchy_from_json
@@ -139,11 +126,6 @@ class GambletSystem:
         return self.n_of(k).T @ self.hier.pi_prod(k, self.q)
 
 
-def _filters(hier: Hierarchy, k: int) -> tuple[csr_array, csr_array]:
-    """W^(k) and pi^(k-1,k) as sparse matrices; each row is nonzero on one parent's children only."""
-    return csr_array(hier.w_of(k)), csr_array(hier.pi_of(k - 1))
-
-
 def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     """B^(k), N^(k), R^(k-1,k) and A^(k-1) from A^(k), eliminating the details in the Haar basis.
 
@@ -158,7 +140,7 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     operand of a sparse product, and of R's difference, C-contiguous
     first; C stays a transposed view, which LAPACK reads as it is.
     """
-    W, pi = _filters(hier, k)
+    W, pi = hier.filters(k)
     AWt = transpose(W @ Ak)  # A W^T, as A is symmetric; one transpose for B and C
     B = symmetrize(W @ AWt)
     C = (pi @ AWt).T
@@ -196,10 +178,7 @@ def transform(op, hier: Hierarchy) -> GambletSystem:
         )
     b_levels[0] = a_levels[0]
 
-    sys = GambletSystem(
-        hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels,
-    )
+    sys = GambletSystem(hier=hier, a_levels=a_levels, b_levels=b_levels, r_levels=r_levels, n_levels=n_levels)
     validate_system(sys)
     return sys
 
@@ -210,12 +189,14 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def validate_system(sys: GambletSystem) -> None:
-    """Check B^(1) = A^(1), then W N = I, A^(k-1) = R A pi^T, R A W^T = 0 and B = W A W^T per level.
+    """Check B^(1) = A^(1), then the five identities below per level; a failure raises GambletError.
 
     What each check certifies, for N, R and A^(k-1) formed from
     X^T = B^-1 C as in _level_step:
     - W N = I holds for N = W^T + pi^T X by the hierarchy's
       orthogonality alone; it certifies the stored N and the filters.
+    - pi N = X = (pi - R) W^T (_TILE rows at a time): N and R carry one
+      X. W N = I holds whatever X N carries; the other checks read R.
     - R A pi^T = pi A pi^T - X C, so A^(k-1) = R A pi^T tests the stored
       A^(k-1) against the stored R and A; on an untouched system only
       the antisymmetric part of C^T X^T is left.
@@ -236,12 +217,20 @@ def validate_system(sys: GambletSystem) -> None:
         raise GambletError("B^(1) != A^(1)")
     for k in range(2, sys.q + 1):
         Nk, Ak, R, B = sys.n_of(k), sys.a_of(k), sys.r_of(k), sys.b_of(k)
-        W, pi = _filters(sys.hier, k)
+        W, pi = sys.hier.filters(k)
         WN = W @ Nk
         WN[np.diag_indices_from(WN)] -= 1.0
         wn_err = _max_abs(WN)
-        if not wn_err <= CONSTRUCTION_TOL * max(1.0, _max_abs(Nk)):
+        n_tol = CONSTRUCTION_TOL * max(1.0, _max_abs(Nk))
+        if not wn_err <= n_tol:
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
+        del WN
+        x_err = float(np.max([
+            _max_abs(pi[i : i + _TILE] @ Nk - (pi[i : i + _TILE] - R[i : i + _TILE]) @ W.T)
+            for i in range(0, pi.shape[0], _TILE)
+        ], initial=0.0))
+        if not x_err <= n_tol:
+            raise GambletError(f"pi N^({k}) != (pi - R^({k - 1},{k})) W^T (max dev {x_err:.2e})")
         a_tol = CONSTRUCTION_TOL * _max_abs(Ak)
         a_err = _max_abs(R @ (pi @ Ak).T - sys.a_of(k - 1))
         if not a_err <= a_tol:
@@ -291,10 +280,7 @@ def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
     b_levels[0] = a_levels[0]
     for k in range(2, q + 1):
         b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], _ = _level_step(hier, k, a_levels[k - 1])
-    return GambletSystem(
-        hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels,
-    )
+    return GambletSystem(hier=hier, a_levels=a_levels, b_levels=b_levels, r_levels=r_levels, n_levels=n_levels)
 
 
 def _check_block(x: np.ndarray, n: int, what: str) -> None:
@@ -317,7 +303,7 @@ def analyze(sys: GambletSystem, y: np.ndarray) -> MultiresCoefficients:
     levels: list[np.ndarray] = [None] * sys.q
     for k in range(sys.q, 1, -1):
         levels[k - 1] = sys.n_of(k).T @ m
-        m = sys.hier.pi_of(k - 1) @ m
+        m = sys.hier.filters(k)[1] @ m
     levels[0] = m
     return MultiresCoefficients(levels)
 
@@ -339,7 +325,7 @@ def reconstruct(sys: GambletSystem, c: MultiresCoefficients, upto: int | None = 
     for k in range(2, sys.q + 1):
         x = sys.r_of(k).T @ x
         if k <= upto:
-            x = x + sys.hier.w_of(k).T @ c.levels[k - 1]
+            x = x + sys.hier.filters(k)[0].T @ c.levels[k - 1]
     return x
 
 
@@ -350,7 +336,7 @@ def solve(sys: GambletSystem, f: np.ndarray) -> np.ndarray:
     levels: list[np.ndarray] = [None] * sys.q
     fk = f
     for k in range(sys.q, 1, -1):
-        levels[k - 1] = solve_spd(sys.b_factor(k), sys.hier.w_of(k) @ fk)
+        levels[k - 1] = solve_spd(sys.b_factor(k), sys.hier.filters(k)[0] @ fk)
         fk = sys.r_of(k) @ fk
     levels[0] = solve_spd(sys.b_factor(1), fk)
     return reconstruct(sys, MultiresCoefficients(levels))
@@ -540,7 +526,4 @@ def load_system(dirpath) -> GambletSystem:
     b_levels = [load(f"b_{k}", hier.j_size(k), hier.j_size(k)) for k in range(1, q + 1)]
     r_levels = [load(f"r_{k}", hier.sizes[k - 2], hier.sizes[k - 1]) for k in range(2, q + 1)]
     n_levels = [load(f"n_{k}", hier.sizes[k - 1], hier.j_size(k)) for k in range(2, q + 1)]
-    return GambletSystem(
-        hier=hier, a_levels=a_levels, b_levels=b_levels,
-        r_levels=r_levels, n_levels=n_levels,
-    )
+    return GambletSystem(hier=hier, a_levels=a_levels, b_levels=b_levels, r_levels=r_levels, n_levels=n_levels)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gamblets as gb
-from gamblets import BadConfig, BadLevel, DenoiseConfig, EmptyGrid, NoBracketWarning
+from gamblets import BadConfig, BadLevel, DenoiseConfig, EmptyGrid, NoBracketWarning, NotSPD
 from gamblets.denoise import (
     default_threshold_grid,
     energy_growth_check,
@@ -232,6 +232,16 @@ def test_regularize_warns_when_constraint_unreachable():
     with pytest.warns(NoBracketWarning):
         res = gb.regularize(a, y, sigma=1.0, gamma=4.5)
     assert_allclose(res.recovered, [3.0, 0.0], atol=1e-4)
+
+
+def test_regularize_refuses_indefinite_operator():
+    """An indefinite A has no energy minimum in the ball; a singular semidefinite one does."""
+    y = np.full(3, 3.0)
+    with pytest.raises(NotSPD, match="indefinite"):
+        gb.regularize(np.diag([2.0, -1.0, 0.5]), y, sigma=0.1)
+    res = gb.regularize(np.diag([2.0, 0.0, 0.5]), y, sigma=0.1)
+    assert 0.0 < res.alpha < np.inf
+    assert abs(np.linalg.norm(res.recovered - y) - res.gamma) <= 1e-10 * res.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_array
 
 import gamblets as gb
 from gamblets import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
@@ -136,6 +137,29 @@ def test_rejects_unsupported_dimension():
         gb.build_dyadic(3, 2)
     with pytest.raises(UnsupportedDim):
         gb.build_from_points(np.zeros((4, 3)), 2)
+
+
+def _grid_points_hierarchy():
+    """The 8x8 grid graph's points at q = 4: level 3 already gives every point its own box."""
+    h = gb.build_from_points(gb.grounded_laplacian(gb.synthetic_grid(8)).node_coords, 4)
+    assert h.merged_levels
+    return h
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gb.build_dyadic(1, 4), lambda: gb.build_dyadic(2, 3), _grid_points_hierarchy],
+    ids=["dyadic-1d-q4", "dyadic-2d-q3", "grid8-points-merged"],
+)
+def test_sparse_filters_equal_dense(make):
+    """filters(k) hands out csr_arrays made once, equal to w_of(k) and pi_of(k-1) entry for entry."""
+    h = make()
+    for k in range(2, h.q + 1):
+        W, pi = h.filters(k)
+        assert type(W) is csr_array and type(pi) is csr_array
+        assert np.array_equal(W.toarray(), h.w_of(k)) and W.nnz == np.count_nonzero(h.w_of(k))
+        assert np.array_equal(pi.toarray(), h.pi_of(k - 1)) and pi.nnz == np.count_nonzero(h.pi_of(k - 1))
+        assert h.filters(k)[0] is W and h.filters(k)[1] is pi
 
 
 def test_json_round_trip(hier_1d_q4):

@@ -196,6 +196,27 @@ def test_validate_system_requires_b1_equal_a1(sys_1d_rough_q4, tmp_path):
         validate_system(back)
 
 
+def test_validate_system_requires_n_and_r_to_carry_one_x(op_1d_rough_q4, hier_1d_q4, tmp_path):
+    """An N^(4) whose X = pi N differs from R^(3,4)'s is refused, in memory and after save/load.
+
+    Adding 1e-2 pi^T M to N^(4) keeps W N = I, as W pi^T = 0, and leaves
+    every check on R, A and B as it was; only pi N = (pi - R) W^T sees it,
+    and reconstruct(analyze(y)) is then off by far more than rounding.
+    """
+    sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
+    rng = np.random.default_rng(0)
+    pi = hier_1d_q4.pi_of(3)
+    sys.n_levels[2] = sys.n_of(4) + 1e-2 * pi.T @ rng.standard_normal((pi.shape[0], hier_1d_q4.j_size(4)))
+    y = rng.standard_normal(16)
+    assert np.linalg.norm(gb.reconstruct(sys, gb.analyze(sys, y)) - y) > 1e-3 * np.linalg.norm(y)
+    refused = r"pi N\^\(4\) != \(pi - R\^\(3,4\)\) W\^T"
+    with pytest.raises(GambletError, match=refused):
+        validate_system(sys)
+    gb.save_system(sys, tmp_path / "system")
+    with pytest.raises(GambletError, match=refused):
+        validate_system(gb.load_system(tmp_path / "system"))
+
+
 @pytest.mark.parametrize("which", ["a", "b", "n"])
 def test_validate_system_rejects_nan(op_1d_rough_q4, hier_1d_q4, which):
     """A NaN makes every residual NaN, which no tolerance may accept."""
@@ -247,6 +268,57 @@ def test_identities_on_random_spd_over_random_points(n, dim, q, seed):
 
 # ---------------------------------------------------------------------------
 # Analysis / synthesis round trips.
+
+def _dense_filter_analyze(sys, y):
+    m, levels = y, [None] * sys.q
+    for k in range(sys.q, 1, -1):
+        levels[k - 1] = sys.n_of(k).T @ m
+        m = sys.hier.pi_of(k - 1) @ m
+    levels[0] = m
+    return levels
+
+
+def _dense_filter_reconstruct(sys, levels):
+    x = levels[0]
+    for k in range(2, sys.q + 1):
+        x = sys.r_of(k).T @ x + sys.hier.w_of(k).T @ levels[k - 1]
+    return x
+
+
+def _dense_filter_solve(sys, f):
+    fk, levels = f, [None] * sys.q
+    for k in range(sys.q, 1, -1):
+        levels[k - 1] = solve_spd(sys.b_factor(k), sys.hier.w_of(k) @ fk)
+        fk = sys.r_of(k) @ fk
+    levels[0] = solve_spd(sys.b_factor(1), fk)
+    return _dense_filter_reconstruct(sys, levels)
+
+
+@pytest.fixture(params=["rough-1d-q6", "rough-2d-q3", "grid16"])
+def any_system(request, sys_1d_rough_q6, sys_2d_rough_q3):
+    if request.param == "rough-1d-q6":
+        return sys_1d_rough_q6
+    if request.param == "rough-2d-q3":
+        return sys_2d_rough_q3
+    op = gb.grounded_laplacian(gb.synthetic_grid(16))
+    return gb.transform(op, gb.build_from_points(op.node_coords, 4))
+
+
+def test_sparse_filter_products_match_dense_filters(any_system):
+    """analyze, reconstruct and solve give what the same formulas give with the dense filters."""
+    sys = any_system
+    rng = np.random.default_rng(6)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    for y in (rng.standard_normal(sys.n_fine), rng.standard_normal((sys.n_fine, 5))):
+        c = gb.analyze(sys, y)
+        for got, want in zip(c.levels, _dense_filter_analyze(sys, y), strict=True):
+            close(got, want)
+        close(gb.reconstruct(sys, c), _dense_filter_reconstruct(sys, c.levels))
+        close(gb.solve(sys, y), _dense_filter_solve(sys, y))
 
 def test_round_trip_is_identity(sys_1d_rough_q4):
     rng = np.random.default_rng(2)
