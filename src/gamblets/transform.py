@@ -8,9 +8,11 @@ A^(k-1) = R A^(k) R^T, all from one solve of B in the orthogonal Haar
 basis [pi; W] (_level_step), and validate_system checks every system
 it returns. Every product with W^(k) or pi^(k-1,k), there and in
 analyze, reconstruct and solve, takes the sparse forms that
-Hierarchy.filters hands out; every A/B/R/N is a dense, C-contiguous
-ndarray. The operator must be finite, exactly symmetric and of the
-hierarchy's size. oracle_transform() computes every A^(k) by inverting
+Hierarchy.filters hands out. The fine operator A^(q) is a local stencil
+(0.2% of its entries are nonzero at 2D q6), so the top level step and
+validate_system multiply it as a csr_array, each making that form from
+the dense matrix itself; every stored A/B/R/N is a dense ndarray. The
+operator must be finite, exactly symmetric and of the hierarchy's size. oracle_transform() computes every A^(k) by inverting
 the measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k) to
 cross-check the recursion; like z_matrix(), the dual wavelets' noise
 Gram matrix, it is imported from this module, not from the package
@@ -32,6 +34,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, TooLarge
 from .hierarchy import Hierarchy, hierarchy_from_json
@@ -126,7 +129,12 @@ class GambletSystem:
         return self.n_of(k).T @ self.hier.pi_prod(k, self.q)
 
 
-def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
+def _dense(m):
+    """m as an ndarray: a product with the sparse fine operator is itself sparse."""
+    return m.toarray() if issparse(m) else m
+
+
+def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray | csr_array):
     """B^(k), N^(k), R^(k-1,k) and A^(k-1) from A^(k), eliminating the details in the Haar basis.
 
     [pi; W] is orthogonal (pi^T pi + W^T W = I), so with B = W A W^T,
@@ -134,14 +142,18 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     sides) the definitions N = A W^T B^-1, R = pi (I - N W) and
     A^(k-1) = R A R^T become
         N = W^T + pi^T X,  R = pi - X W,  A^(k-1) = pi A pi^T - C^T X^T,
-    the last the Schur complement of B in A written in that basis. Every
-    product has a sparse filter on the left and a dense result; W^T is
-    added into N entry by entry. numerics.transpose makes each transposed
-    operand of a sparse product, and of R's difference, C-contiguous
-    first; C stays a transposed view, which LAPACK reads as it is.
+    the last the Schur complement of B in A written in that basis. A^(k)
+    is the fine operator's csr_array at k = q and a dense Schur complement
+    below; A W^T and A pi^T are the only products with it, and _dense
+    makes them ndarrays. Every other product has a sparse filter on the
+    left and a dense result; W^T is added into N entry by entry. Each
+    entry is the same sum, in the same order, whichever form A^(k) has.
+    numerics.transpose makes each transposed operand of a sparse product,
+    and of R's difference, C-contiguous first; C stays a transposed view,
+    which LAPACK reads as it is.
     """
     W, pi = hier.filters(k)
-    AWt = transpose(W @ Ak)  # A W^T, as A is symmetric; one transpose for B and C
+    AWt = _dense(Ak @ W.T)
     B = symmetrize(W @ AWt)
     C = (pi @ AWt).T
     del AWt
@@ -150,7 +162,7 @@ def _level_step(hier: Hierarchy, k: int, Ak: np.ndarray):
     Wc = W.tocoo()
     Nk[Wc.col, Wc.row] += Wc.data
     R = hier.pi_of(k - 1) - transpose(W.T @ Xt)
-    A_coarse = symmetrize(pi @ transpose(pi @ Ak) - C.T @ Xt)
+    A_coarse = symmetrize(pi @ _dense(Ak @ pi.T) - C.T @ Xt)
     return B, Nk, R, A_coarse
 
 
@@ -172,10 +184,10 @@ def transform(op, hier: Hierarchy) -> GambletSystem:
     n_levels: list[np.ndarray] = [None] * (q - 1)
 
     a_levels[q - 1] = A
+    Ak = csr_array(A)
     for k in range(q, 1, -1):
-        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], a_levels[k - 2] = _level_step(
-            hier, k, a_levels[k - 1]
-        )
+        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], a_levels[k - 2] = _level_step(hier, k, Ak)
+        Ak = a_levels[k - 2]
     b_levels[0] = a_levels[0]
 
     sys = GambletSystem(hier=hier, a_levels=a_levels, b_levels=b_levels, r_levels=r_levels, n_levels=n_levels)
@@ -195,8 +207,8 @@ def validate_system(sys: GambletSystem) -> None:
     X^T = B^-1 C as in _level_step:
     - W N = I holds for N = W^T + pi^T X by the hierarchy's
       orthogonality alone; it certifies the stored N and the filters.
-    - pi N = X = (pi - R) W^T (_TILE rows at a time): N and R carry one
-      X. W N = I holds whatever X N carries; the other checks read R.
+    - pi N = X = (pi - R) W^T: N and R carry one X. W N = I holds
+      whatever X N carries; the other checks read R.
     - R A pi^T = pi A pi^T - X C, so A^(k-1) = R A pi^T tests the stored
       A^(k-1) against the stored R and A; on an untouched system only
       the antisymmetric part of C^T X^T is left.
@@ -206,25 +218,29 @@ def validate_system(sys: GambletSystem) -> None:
     - B^(k) = W A W^T certifies the stored B, which solve (through
       b_factor) and coefficient_energies read and no other check does.
       B^(1) is A^(1) itself and must equal it exactly.
-    W A is taken in blocks of |I^(k-1)| rows, so no |J^(k)| x |I^(k)|
-    temporary is formed; each block gives R A W^T and, _TILE rows at a
-    time, the matching columns of W A W^T, and is freed before the next
-    one is made. The B check adds one sparse product per level (about
-    0.2 s at 2D q6, where validation takes about 1.2 s). A NaN fails
+    The stored A^(q) is read again on every call, as a csr_array made
+    here, so A W^T, A pi^T and W A W^T are sparse at k = q, as in
+    _level_step. Every check runs over _TILE-row blocks of W, R or B,
+    and the sparse W A W^T is densified one block at a time, so at
+    k = q no dense temporary has more than _TILE rows. A NaN fails
     every comparison it enters.
     """
     if not np.array_equal(sys.b_of(1), sys.a_of(1)):
         raise GambletError("B^(1) != A^(1)")
     for k in range(2, sys.q + 1):
-        Nk, Ak, R, B = sys.n_of(k), sys.a_of(k), sys.r_of(k), sys.b_of(k)
+        Nk, R, B, A_coarse = sys.n_of(k), sys.r_of(k), sys.b_of(k), sys.a_of(k - 1)
+        Ak = csr_array(sys.a_of(k)) if k == sys.q else sys.a_of(k)
         W, pi = sys.hier.filters(k)
-        WN = W @ Nk
-        WN[np.diag_indices_from(WN)] -= 1.0
-        wn_err = _max_abs(WN)
+        # np.max, unlike the builtin, keeps a NaN wherever it falls in the list.
+        wn_errs = []
+        for i in range(0, W.shape[0], _TILE):
+            WN = W[i : i + _TILE] @ Nk
+            WN[:, i : i + _TILE] -= np.eye(WN.shape[0])
+            wn_errs.append(_max_abs(WN))
+        wn_err = float(np.max(wn_errs, initial=0.0))
         n_tol = CONSTRUCTION_TOL * max(1.0, _max_abs(Nk))
         if not wn_err <= n_tol:
             raise GambletError(f"W^({k}) N^({k}) != I (max dev {wn_err:.2e})")
-        del WN
         x_err = float(np.max([
             _max_abs(pi[i : i + _TILE] @ Nk - (pi[i : i + _TILE] - R[i : i + _TILE]) @ W.T)
             for i in range(0, pi.shape[0], _TILE)
@@ -232,23 +248,22 @@ def validate_system(sys: GambletSystem) -> None:
         if not x_err <= n_tol:
             raise GambletError(f"pi N^({k}) != (pi - R^({k - 1},{k})) W^T (max dev {x_err:.2e})")
         a_tol = CONSTRUCTION_TOL * _max_abs(Ak)
-        a_err = _max_abs(R @ (pi @ Ak).T - sys.a_of(k - 1))
+        APt, AWt = Ak @ pi.T, Ak @ W.T
+        a_errs, raw_errs = [], []
+        for i in range(0, R.shape[0], _TILE):
+            Ri = R[i : i + _TILE]
+            a_errs.append(_max_abs(Ri @ APt - A_coarse[i : i + _TILE]))
+            raw_errs.append(_max_abs(Ri @ AWt))
+        a_err = float(np.max(a_errs, initial=0.0))
         if not a_err <= a_tol:
             raise GambletError(f"A^({k - 1}) != R A pi^T (max dev {a_err:.2e})")
-        rows = pi.shape[0]
-        raw_errs, b_errs = [], []
-        for i in range(0, W.shape[0], rows):
-            WA = W[i : i + rows, :] @ Ak
-            raw_errs.append(_max_abs(R @ WA.T))
-            B_cols = B[:, i : i + rows]
-            for j in range(0, WA.shape[0], _TILE):
-                b_errs.append(_max_abs(W @ transpose(WA[j : j + _TILE]) - B_cols[:, j : j + _TILE]))
-            del WA
-        # np.max, unlike the builtin, keeps a NaN wherever it falls in the list.
         raw_err = float(np.max(raw_errs, initial=0.0))
         if not raw_err <= a_tol:
             raise GambletError(f"R^({k - 1},{k}) A W^T != 0 (max dev {raw_err:.2e})")
-        b_err = float(np.max(b_errs, initial=0.0))
+        WAWt = W @ AWt
+        b_err = float(np.max([
+            _max_abs(_dense(WAWt[i : i + _TILE]) - B[i : i + _TILE]) for i in range(0, B.shape[0], _TILE)
+        ], initial=0.0))
         if not b_err <= a_tol:
             raise GambletError(f"B^({k}) != W A W^T (max dev {b_err:.2e})")
 

@@ -217,13 +217,24 @@ def test_validate_system_requires_n_and_r_to_carry_one_x(op_1d_rough_q4, hier_1d
         validate_system(gb.load_system(tmp_path / "system"))
 
 
-@pytest.mark.parametrize("which", ["a", "b", "n"])
+@pytest.mark.parametrize("which", ["a", "b", "n", "a_top"])
 def test_validate_system_rejects_nan(op_1d_rough_q4, hier_1d_q4, which):
     """A NaN makes every residual NaN, which no tolerance may accept."""
-    sys = gb.transform(op_1d_rough_q4, hier_1d_q4)
-    m = {"a": sys.a_of, "b": sys.b_of, "n": sys.n_of}[which](3)
+    # A^(q) is the caller's matrix itself, so "a_top" would write into the shared fixture.
+    sys = gb.transform(op_1d_rough_q4.A.copy(), hier_1d_q4)
+    m = {"a": sys.a_of(3), "b": sys.b_of(3), "n": sys.n_of(3), "a_top": sys.a_of(4)}[which]
     m[1, 2] = np.nan
     with pytest.raises(GambletError):
+        validate_system(sys)
+
+
+def test_validate_system_reads_the_stored_top_operator(op_1d_rough_q4, hier_1d_q4):
+    """The sparse A^(q) that validation multiplies is made from the stored matrix on each call, never cached."""
+    sys = gb.transform(op_1d_rough_q4.A.copy(), hier_1d_q4)
+    A = sys.a_of(4)
+    A[1, 2] += 0.1
+    A[2, 1] += 0.1
+    with pytest.raises(GambletError, match=r"A\^\(3\) != R A pi\^T"):
         validate_system(sys)
 
 
@@ -319,6 +330,18 @@ def test_sparse_filter_products_match_dense_filters(any_system):
             close(got, want)
         close(gb.reconstruct(sys, c), _dense_filter_reconstruct(sys, c.levels))
         close(gb.solve(sys, y), _dense_filter_solve(sys, y))
+
+
+def test_sparse_top_step_matches_dense_step(any_system):
+    """transform multiplies the csr_array form of A^(q); its top step is bit for bit the step on the dense A^(q)."""
+    sys = any_system
+    q = sys.q
+    B, Nk, R, A_coarse = _level_step(sys.hier, q, sys.a_of(q))
+    assert np.array_equal(sys.b_of(q), B)
+    assert np.array_equal(sys.n_of(q), Nk)
+    assert np.array_equal(sys.r_of(q), R)
+    assert np.array_equal(sys.a_of(q - 1), A_coarse)
+
 
 def test_round_trip_is_identity(sys_1d_rough_q4):
     rng = np.random.default_rng(2)
