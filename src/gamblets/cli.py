@@ -11,7 +11,10 @@ Subcommands:
   Both write system/, results.csv, realization0.csv and manifest.json
   through one writer; each passes its geometry columns and its extra
   manifest fields.
-* ``selftest`` exercises the core identities on small problems.
+* ``selftest`` runs four quick checks of the pipeline on small problems:
+  the analyze/reconstruct round trip, the multilevel solve against a
+  Cholesky solve, a worked level selection and the regularizer's
+  stationarity.
 
 Options of ``transform``, ``denoise`` and ``graph`` come from the
 defaults, then an optional ``key = value`` config file, then flags;
@@ -360,16 +363,8 @@ def cmd_graph(cfg: dict) -> int:
 # Self test.
 
 def _selftest_checks():
-    from .numerics import cholesky, extreme_eigs, solve_spd
-    from .transform import analyze, oracle_transform, reconstruct, solve, z_matrix
-
-    def identity_vs_oracle():
-        hier = build_dyadic(1, 3)
-        op = assemble_fem(coeff_unit(1), hier)
-        got = transform(op, hier)
-        want = oracle_transform(op, hier)
-        for k in range(1, 4):
-            assert np.abs(got.a_of(k) - want.a_of(k)).max() < 1e-8
+    from .numerics import cholesky, solve_spd
+    from .transform import analyze, reconstruct, solve
 
     def round_trip():
         hier = build_dyadic(1, 4)
@@ -391,16 +386,6 @@ def _selftest_checks():
         want = solve_spd(cholesky(op.A), f)
         assert np.abs(x - want).max() < 1e-9 * max(1.0, np.abs(want).max())
 
-    def noise_gram_consistency():
-        hier = build_dyadic(1, 4)
-        op = assemble_fem(coeff_1d(), hier)
-        sys = transform(op, hier)
-        Z = z_matrix(sys)
-        P = np.vstack([sys.phi_chi_fine(k) for k in range(1, 5)])
-        assert np.abs(Z - P @ P.T).max() < 1e-10
-        lo, hi = extreme_eigs(Z)
-        assert lo > 0 and np.isfinite(hi)
-
     def level_choice():
         cfg = dn.DenoiseConfig(d=1, q=10, sigma=1e-3, bound=1.0)
         assert dn.select_level(cfg) == 3
@@ -416,10 +401,8 @@ def _selftest_checks():
         assert np.linalg.norm(r) <= 1e-8
 
     return [
-        ("transform matches oracle (1D q=3)", identity_vs_oracle),
         ("analyze/reconstruct round trip (1D q=4)", round_trip),
         ("multilevel solve matches Cholesky (1D q=4)", multilevel_solve),
-        ("noise Gram matches the dual-wavelet Gram (1D q=4)", noise_gram_consistency),
         ("level selection worked example", level_choice),
         ("regularizer stationarity (12x12)", regularizer_stationarity),
     ]

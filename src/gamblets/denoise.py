@@ -27,9 +27,7 @@ the noisy block once and derives the level filter and both shrinkers
 from those coefficients; the graph pipeline (graphdenoise.denoise_graph)
 feeds the same engine. Each front end fixes its own threshold tuning:
 run_trials tunes over default_threshold_grid on 32 pairs, and neither
-the pair count nor the grid is a parameter. energy_growth_check returns
-the per-trial energies the level filter picks up from the noise on the
-same draws; it serves the tests and is not exported at the package root.
+the pair count nor the grid is a parameter.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .errors import (
     BadLevel,
     DimensionMismatch,
     EmptyGrid,
-    LevelZero,
     NoBracketWarning,
     NotSPD,
 )
@@ -645,34 +642,3 @@ def run_trials(
         sys, op, cfg, _pde_source(sys, op, cfg.signal), threshold_schedule(cfg, 1.0),
         n_trials, seed, methods, tune_size=32, t0_grid=default_threshold_grid(cfg),
     )
-
-
-def energy_growth_check(
-    sys: GambletSystem,
-    op,
-    cfg: DenoiseConfig,
-    n_trials: int,
-    seed: int,
-) -> np.ndarray:
-    """Per-trial energies of the level filter: an (n_trials, 3) array.
-
-    Its columns are |recovery|_A, |u|_A and the noise pickup
-    |level_filter(eta - u)|_A. The first minus the second is the energy
-    picked up from the noise minus the energy lost by truncating u, so
-    it can be negative, and its quantiles change sign as sigma moves
-    the selected level. The pickup alone bounds it by the triangle
-    inequality.
-
-    The trials are run_trials' draws; eta and eta - u are filtered
-    together as one (N, 2 n_trials) block.
-    """
-    l_dag = select_level(cfg)
-    if l_dag == 0:
-        raise LevelZero("selected level is 0; the statistic needs at least one level")
-    _, u, eta = _draw_trials(_pde_source(sys, op, cfg.signal), cfg.sigma, seed, 0, n_trials)
-    rec = reconstruct(sys, analyze(sys, np.hstack([eta, eta - u])), upto=l_dag)
-    return np.column_stack([
-        energy_norm(op, rec[:, :n_trials]),
-        energy_norm(op, u),
-        energy_norm(op, rec[:, n_trials:]),
-    ])

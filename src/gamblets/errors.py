@@ -41,10 +41,6 @@ class BadLevel(GambletError):
     """Level index outside 0..q."""
 
 
-class LevelZero(GambletError):
-    """Operation needs a selected level >= 1 but l-dagger is 0."""
-
-
 class TooFewLevels(GambletError):
     """Scale estimation needs at least three levels."""
 

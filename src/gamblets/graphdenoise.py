@@ -168,8 +168,9 @@ def denoise_graph(
     inv = np.empty(op.n, dtype=int)
     inv[p] = np.arange(op.n)
     coords_box = op.node_coords[inv]
+    # The graph's mass is the identity, which the permutation leaves as it is.
     op_box = DiscreteOperator(
-        A=op.A[np.ix_(inv, inv)], mass=np.eye(op.n), dim=op.dim, q=hier.q,
+        A=op.A[np.ix_(inv, inv)], mass=op.mass, dim=op.dim, q=hier.q,
         mesh_width=0.0, kind="graph", node_coords=coords_box,
     )
 

@@ -51,7 +51,6 @@ class Hierarchy:
     sizes: list[int]  # |I^(k)|, k = 1..q
     pi: list[np.ndarray]  # pi^(k,k+1), k = 1..q-1
     w: list[np.ndarray]  # W^(k), k = 2..q
-    points_per_box_range: list[tuple[int, int]] | None = None  # diagnostics, kind="points" only
     merged_levels: tuple[int, ...] = field(default=())  # original level indices dropped as degenerate
     point_fine_label: np.ndarray | None = None  # kind="points": fine-level label index of each input point
     coords: np.ndarray | None = None  # kind="points": the (n, dim) input points
@@ -85,13 +84,6 @@ class Hierarchy:
     def filters(self, k: int) -> tuple[csr_array, csr_array]:
         """W^(k) and pi^(k-1,k) for 2 <= k <= q, as the csr_arrays made with the hierarchy."""
         return self._sparse[k - 2]
-
-    def pi_prod(self, s: int, k: int) -> np.ndarray:
-        """pi^(s,k) = pi^(s,s+1) ... pi^(k-1,k) for s <= k."""
-        out = np.eye(self.sizes[k - 1])
-        for j in range(k - 1, s - 1, -1):
-            out = self.pi[j - 1] @ out
-        return out
 
     def to_json(self) -> str:
         """The recipe: kind, dim, the requested q and, for points, the input coordinates.
@@ -266,7 +258,6 @@ def build_from_points(coords: np.ndarray, q: int) -> Hierarchy:
         sizes=[len(lev["flat"]) for lev in levels],
         pi=pis,
         w=ws,
-        points_per_box_range=[(int(lev["counts"].min()), int(lev["counts"].max())) for lev in levels],
         merged_levels=tuple(merged),
         point_fine_label=levels[-1]["point_box"].copy(),
         coords=coords.copy(),

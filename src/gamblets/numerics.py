@@ -4,7 +4,7 @@ Everything here is deterministic for fixed inputs. Matrices are plain
 numpy arrays. Symmetric means finite and exactly symmetric (m == m.T),
 which the kernels check rather than average in: the operators are
 assembled so (see operators._scatter), and only products the package
-forms (B, A^(k-1), Theta, inverses, Z) go through symmetrize. Desk
+forms (B^(k), A^(k-1)) go through symmetrize. Desk
 scale is N <= DENSE_CAP = 4096, so dense factorizations and eigenvalue
 solves are the norm: extreme_eigs is one LAPACK symmetric eigenvalue
 call. The CSV helpers read and write the plain-text matrices users
@@ -129,12 +129,6 @@ def solve_spd(f: CholFactor, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != f.n:
         raise DimensionMismatch(f"factor of order {f.n} cannot solve rhs of shape {b.shape}")
     return scipy.linalg.cho_solve((f.lower, True), b, check_finite=False)
-
-
-def spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Explicit inverse of an SPD matrix via Cholesky, symmetrized."""
-    inv = solve_spd(cholesky(m), np.eye(m.shape[0]))
-    return symmetrize(inv)
 
 
 def extreme_eigs(m: np.ndarray) -> tuple[float, float]:

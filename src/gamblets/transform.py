@@ -12,13 +12,12 @@ Hierarchy.filters hands out. The fine operator A^(q) is a local stencil
 (0.2% of its entries are nonzero at 2D q6), so the top level step and
 validate_system multiply it as a csr_array, each making that form from
 the dense matrix itself; every stored A/B/R/N is a dense ndarray. The
-operator must be finite, exactly symmetric and of the hierarchy's size. oracle_transform() computes every A^(k) by inverting
-the measurement Gram matrix Theta^(k) = pi^(k,q) A^{-1} pi^(q,k) to
-cross-check the recursion; like z_matrix(), the dual wavelets' noise
-Gram matrix, it is imported from this module, not from the package
-root. analyze()/reconstruct() move signals between fine coefficients
-and per-level wavelet coefficients, one vector or an (N, T) block of T
+operator must be finite, exactly symmetric and of the hierarchy's size.
+analyze()/reconstruct() move signals between fine coefficients and
+per-level wavelet coefficients, one vector or an (N, T) block of T
 signals at a time, and solve() is the package's one solver for A u = f.
+The references that check the recursion by another route (Gramian
+inversion, the dual wavelets' noise Gram matrix) live with the tests.
 
 save_system()/load_system() store a system as one .npy file per
 A/B/R/N matrix, the hierarchy's recipe (not its pi and W, which the
@@ -36,16 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError, TooLarge
+from .errors import BadConfig, BadLevel, DimensionMismatch, GambletError
 from .hierarchy import Hierarchy, hierarchy_from_json
 from .numerics import (
-    DENSE_CAP,
     CholFactor,
     _TILE,
     _check_square_symmetric,
     cholesky,
     solve_spd,
-    spd_inverse,
     symmetrize,
     transpose,
 )
@@ -94,9 +91,7 @@ class GambletSystem:
         return self.r_levels[k - 2]
 
     def n_of(self, k: int) -> np.ndarray:
-        """N^(k) for 2 <= k <= q; N^(1) is the identity by convention."""
-        if k == 1:
-            return np.eye(self.hier.sizes[0])
+        """N^(k) for 2 <= k <= q."""
         return self.n_levels[k - 2]
 
     def b_factor(self, k: int) -> CholFactor:
@@ -108,25 +103,6 @@ class GambletSystem:
             f = cholesky(self.b_of(k))
             self._b_factors[k - 1] = f
         return f
-
-    def psi_fine(self, k: int) -> np.ndarray:
-        """Rows are the fine-basis coefficients of psi^(k)_i (product of R factors)."""
-        out = np.eye(self.n_fine)
-        for j in range(self.q, k, -1):
-            out = self.r_of(j) @ out
-        return out
-
-    def chi_fine(self, k: int) -> np.ndarray:
-        """Rows are the fine-basis coefficients of chi^(k)_i (psi^(1) rows for k=1)."""
-        if k == 1:
-            return self.psi_fine(1)
-        return self.hier.w_of(k) @ self.psi_fine(k)
-
-    def phi_chi_fine(self, k: int) -> np.ndarray:
-        """Dual wavelets phi^(k),chi expressed over the fine measurement basis."""
-        if k == 1:
-            return self.hier.pi_prod(1, self.q)
-        return self.n_of(k).T @ self.hier.pi_prod(k, self.q)
 
 
 def _dense(m):
@@ -268,36 +244,6 @@ def validate_system(sys: GambletSystem) -> None:
             raise GambletError(f"B^({k}) != W A W^T (max dev {b_err:.2e})")
 
 
-def oracle_transform(op, hier: Hierarchy) -> GambletSystem:
-    """Reference transform via explicit Gramian inversion (test oracle).
-
-    Computes Theta^(k) = pi^(k,q) A^{-1} pi^(q,k) by descent and sets
-    A^(k) = (Theta^(k))^{-1}; B, N, R then follow from their
-    definitions rather than from the level recursion.
-    """
-    A = np.asarray(op.A if hasattr(op, "A") else op, dtype=float)
-    if A.shape[0] != hier.n_fine:
-        raise DimensionMismatch(f"operator has {A.shape[0]} rows, hierarchy fine level has {hier.n_fine}")
-    if A.shape[0] > DENSE_CAP:
-        raise TooLarge(f"oracle inversion capped at {DENSE_CAP}, got {A.shape[0]}")
-    q = hier.q
-
-    theta = spd_inverse(A)
-    a_levels: list[np.ndarray] = [None] * q
-    a_levels[q - 1] = A
-    for k in range(q - 1, 0, -1):
-        theta = symmetrize(hier.pi_of(k) @ theta @ hier.pi_of(k).T)
-        a_levels[k - 1] = spd_inverse(theta)
-
-    b_levels: list[np.ndarray] = [None] * q
-    r_levels: list[np.ndarray] = [None] * (q - 1)
-    n_levels: list[np.ndarray] = [None] * (q - 1)
-    b_levels[0] = a_levels[0]
-    for k in range(2, q + 1):
-        b_levels[k - 1], n_levels[k - 2], r_levels[k - 2], _ = _level_step(hier, k, a_levels[k - 1])
-    return GambletSystem(hier=hier, a_levels=a_levels, b_levels=b_levels, r_levels=r_levels, n_levels=n_levels)
-
-
 def _check_block(x: np.ndarray, n: int, what: str) -> None:
     """Accept an (n,) vector or an (n, T) block of T column signals."""
     if x.ndim not in (1, 2) or x.shape[0] != n:
@@ -380,34 +326,6 @@ def coefficient_energies(sys: GambletSystem, c: MultiresCoefficients) -> np.ndar
     Shape (q,), or (q, T) for column blocks of coefficients.
     """
     return np.array([_quadratic_form(sys.b_of(k), c.levels[k - 1]) for k in range(1, sys.q + 1)])
-
-
-def z_matrix(sys: GambletSystem) -> np.ndarray:
-    """Dual-wavelet Gram matrix Z over the concatenated detail index sets.
-
-    Block (s, k), s <= k, is N^(s),T pi^(s,k) N^(k) with N^(1) = I, so
-    white fine-coefficient noise has covariance sigma^2 Z in wavelet
-    coordinates.
-
-    Each diagonal block N^(k),T N^(k) has lambda_min >= 1: W N = I and
-    W W^T = I give |x| = |W N x| <= |N x|. The bound holds per level
-    only; the cross-level blocks can pull lambda_min of the full Z below
-    1 (0.468 for the rough 1D q = 5 system, 0.596 for rough 2D q = 3).
-    """
-    j_sizes = sys.hier.j_sizes
-    offs = np.concatenate(([0], np.cumsum(j_sizes)))
-    total = offs[-1]
-    Z = np.zeros((total, total))
-    for k in range(1, sys.q + 1):
-        T = sys.n_of(k)
-        for s in range(k, 0, -1):
-            if s < k:
-                T = sys.hier.pi_of(s) @ T
-            block = sys.n_of(s).T @ T
-            Z[offs[s - 1] : offs[s], offs[k - 1] : offs[k]] = block
-            if s < k:
-                Z[offs[k - 1] : offs[k], offs[s - 1] : offs[s]] = block.T
-    return symmetrize(Z)
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,7 @@ def test_selftest_passes(capsys):
     code, stdout, _ = run(["selftest"], capsys)
     assert code == 0
     assert "FAIL" not in stdout
-    assert stdout.count("ok    ") == 6
+    assert stdout.count("ok    ") == 4
     assert "all checks passed" in stdout
 
 

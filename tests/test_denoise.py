@@ -8,14 +8,13 @@ import gamblets as gb
 from gamblets import BadConfig, BadLevel, DenoiseConfig, EmptyGrid, NoBracketWarning, NotSPD
 from gamblets.denoise import (
     default_threshold_grid,
-    energy_growth_check,
     threshold_schedule,
     tune_threshold,
 )
-from gamblets.errors import LevelZero
 from gamblets.operators import measurement_overlap
 from gamblets.transform import energy_norm
 from conftest import random_spd
+from oracles import energy_growth_check
 
 
 def make_cfg(**kw):
@@ -409,8 +408,3 @@ def test_energy_growth_zero_noise_never_positive(sys_1d_rough_q6, op_1d_rough_q6
     # sigma = 0 keeps every level, and reconstruction is then exact
     samples = energy_growth_check(sys_1d_rough_q6, op_1d_rough_q6, make_cfg(q=6, sigma=0.0), 5, seed=0)
     assert np.quantile(samples[:, 0] - samples[:, 1], 0.95) <= 1e-12
-
-
-def test_energy_growth_needs_a_level(sys_1d_rough_q6, op_1d_rough_q6):
-    with pytest.raises(LevelZero):
-        energy_growth_check(sys_1d_rough_q6, op_1d_rough_q6, make_cfg(q=6, sigma=0.9), 5, seed=0)

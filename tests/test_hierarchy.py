@@ -14,6 +14,7 @@ from scipy.sparse import csr_array
 import gamblets as gb
 from gamblets import BadConfig, EmptyPointSet, TooLarge, UnsupportedDim
 from gamblets.hierarchy import hierarchy_from_json
+from oracles import pi_prod
 
 S = 1 / np.sqrt(2)
 
@@ -63,8 +64,8 @@ def test_dyadic_filter_orthogonality(dim, q):
 
 def test_pi_prod_composes():
     h = gb.build_dyadic(1, 4)
-    assert_allclose(h.pi_prod(1, 4), h.pi_of(1) @ h.pi_of(2) @ h.pi_of(3), atol=1e-14)
-    assert_allclose(h.pi_prod(3, 3), np.eye(h.sizes[2]), atol=0)
+    assert_allclose(pi_prod(h, 1, 4), h.pi_of(1) @ h.pi_of(2) @ h.pi_of(3), atol=1e-14)
+    assert_allclose(pi_prod(h, 3, 3), np.eye(h.sizes[2]), atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +110,6 @@ def test_points_single_point_collapses():
     assert h.q == 1
     assert h.sizes == [1]
     assert h.merged_levels == (1, 2)
-
-
-def test_points_counts_recorded():
-    pts = np.array([[0.1, 0.1], [0.12, 0.11], [0.9, 0.9]])
-    h = gb.build_from_points(pts, 1)
-    assert h.points_per_box_range == [(1, 2)]
 
 
 def test_points_rejects_empty_and_oversized():
@@ -179,7 +174,6 @@ def assert_same_hierarchy(back, h):
     assert (back.kind, back.dim, back.q) == (h.kind, h.dim, h.q)
     assert back.sizes == h.sizes
     assert back.merged_levels == h.merged_levels
-    assert back.points_per_box_range == h.points_per_box_range
     for got, want in zip(back.pi + back.w, h.pi + h.w, strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

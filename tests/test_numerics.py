@@ -13,7 +13,6 @@ from gamblets.numerics import (
     _check_square_symmetric,
     cholesky,
     solve_spd,
-    spd_inverse,
     extreme_eigs,
     chi_square_quantile,
     symmetrize,
@@ -22,6 +21,7 @@ from gamblets.numerics import (
     load_matrix_csv,
 )
 from conftest import random_spd
+from oracles import spd_inverse
 
 
 def tridiag(n, lo, di, up):

@@ -17,11 +17,10 @@ from gamblets.transform import (
     _level_step,
     coefficient_energies,
     energy_norm,
-    oracle_transform,
     read_manifest,
     validate_system,
-    z_matrix,
 )
+from oracles import chi_fine, noise_trace, oracle_transform, phi_chi_fine, psi_fine, z_matrix
 
 
 def frobenius(a, b):
@@ -238,6 +237,69 @@ def test_validate_system_reads_the_stored_top_operator(op_1d_rough_q4, hier_1d_q
         validate_system(sys)
 
 
+def _tamper_directions(hier, name, k, m, rng):
+    """Named perturbation directions for the stored matrix `name`^(k), of m's shape.
+
+    Besides dense noise, R gets M pi and M W and N gets pi^T M and W^T M:
+    M pi leaves pi N = (pi - R) W^T as it is (pi W^T = 0), and pi^T M
+    leaves W N = I, so each of those is left to the other checks.
+    """
+    dense = rng.standard_normal(m.shape)
+    if name in ("a", "b"):
+        return {"dense": dense, "dense symmetric": symmetrize(dense)}
+    pi, W = hier.pi_of(k - 1), hier.w_of(k)
+    if name == "r":
+        return {
+            "dense": dense,
+            "M pi": rng.standard_normal((pi.shape[0], pi.shape[0])) @ pi,
+            "M W": rng.standard_normal((pi.shape[0], W.shape[0])) @ W,
+        }
+    return {
+        "dense": dense,
+        "pi^T M": pi.T @ rng.standard_normal((pi.shape[0], W.shape[0])),
+        "W^T M": W.T @ rng.standard_normal((W.shape[0], W.shape[0])),
+    }
+
+
+def test_validate_system_refuses_every_tamper():
+    """Every stored A/B/R/N on every level, tampered each way at 1e-3 and 1e-8 of its max |entry|, is refused."""
+    hier = gb.build_dyadic(1, 5)
+    sys = gb.transform(gb.assemble_fem(gb.coeff_1d(), hier), hier)
+    rng = np.random.default_rng(0)
+    lists = {"a": "a_levels", "b": "b_levels", "r": "r_levels", "n": "n_levels"}
+    tried, accepted = 0, []
+    for name, attr in lists.items():
+        first = 1 if name in ("a", "b") else 2
+        for k, m in enumerate(getattr(sys, attr), start=first):
+            for how, e in _tamper_directions(hier, name, k, m, rng).items():
+                for size in (1e-3, 1e-8):
+                    levels = {a: list(getattr(sys, a)) for a in lists.values()}
+                    levels[attr][k - first] = m + e * (size * np.abs(m).max() / np.abs(e).max())
+                    tried += 1
+                    try:
+                        validate_system(gb.GambletSystem(hier=hier, **levels))
+                    except GambletError:
+                        continue
+                    accepted.append(f"{name}^({k}) {how} at {size:g}")
+    assert tried == 88
+    assert not accepted, f"validate_system accepted {len(accepted)} of {tried} tampers: " + "; ".join(accepted)
+
+
+@pytest.mark.parametrize("name", ["sys_1d_rough_q6", "sys_2d_rough_q3"])
+def test_noise_trace_identity(request, name):
+    """tr(P_l^T A P_l) = tr A^(1) + sum_{2<=k<=l} tr(B^(k) N^(k),T N^(k)) for the level-l projection P_l."""
+    sys = request.getfixturevalue(name)
+    A = sys.a_of(sys.q)
+    c = gb.analyze(sys, np.eye(sys.n_fine))
+    for l in range(1, sys.q + 1):
+        P = gb.reconstruct(sys, c, upto=l)
+        got = float(np.sum(P * (A @ P)))
+        want = noise_trace(sys, l)
+        # The two sides sum the same positive energies in another order;
+        # the gap measured at most 6.6e-15 relative, so 1e-12 leaves room for rounding only.
+        assert abs(got - want) <= 1e-12 * want, (l, got, want)
+
+
 def test_transform_accepts_raw_matrix(hier_1d_q4, op_1d_rough_q4):
     direct = gb.transform(op_1d_rough_q4.A, hier_1d_q4)
     via_op = gb.transform(op_1d_rough_q4, hier_1d_q4)
@@ -404,14 +466,14 @@ def test_energy_norm_validates_shape(op_1d_rough_q4):
 def test_biorthogonality(sys_1d_rough_q4):
     for k in range(1, 5):
         for l in range(1, 5):
-            pair = sys_1d_rough_q4.phi_chi_fine(k) @ sys_1d_rough_q4.chi_fine(l).T
+            pair = phi_chi_fine(sys_1d_rough_q4, k) @ chi_fine(sys_1d_rough_q4, l).T
             target = np.eye(pair.shape[0]) if k == l else np.zeros(pair.shape)
             assert np.abs(pair - target).max() < 1e-8
 
 
 def test_noise_gram_is_dual_coefficient_gram(sys_1d_rough_q4):
     z = z_matrix(sys_1d_rough_q4)
-    p = np.vstack([sys_1d_rough_q4.phi_chi_fine(k) for k in range(1, 5)])
+    p = np.vstack([phi_chi_fine(sys_1d_rough_q4, k) for k in range(1, 5)])
     assert_allclose(z, p @ p.T, atol=1e-10)
     lo, hi = extreme_eigs(z)
     assert lo > 0
@@ -434,7 +496,7 @@ def test_noise_gram_diagonal_blocks_bounded_below(sys_1d_rough_q4):
 # Localization.
 
 def test_interior_gamblet_decays_exponentially(sys_1d_rough_q6):
-    psi3 = sys_1d_rough_q6.psi_fine(3)
+    psi3 = psi_fine(sys_1d_rough_q6, 3)
     i = psi3.shape[0] // 2
     row = psi3[i]
     centers = (np.arange(row.size) + 0.5) / row.size
